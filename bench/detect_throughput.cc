@@ -1,7 +1,8 @@
 // Detection-throughput benchmark: the tape-free inference engine
 // (src/nn/infer, fused kernels + reusable workspaces) against the recording
-// autograd tape on the same trained Scenario-I model and Table 2 test
-// sessions. Reports windows/sec per engine and the fused/tape speedup, and
+// autograd tape (the tape reference scorer, transdas/tape_reference.h) on
+// the same trained Scenario-I model and Table 2 test sessions. Reports
+// windows/sec per engine and the fused/tape speedup, and
 // — when UCAD_BENCH_ASSERT_SPEEDUP is set — exits non-zero if the fused
 // engine falls below that multiple, which is how CI enforces the win.
 // UCAD_BENCH_EXPLAIN=1 additionally runs verdict attribution (attention
@@ -27,6 +28,7 @@
 #include "obs/timeseries.h"
 #include "transdas/detector.h"
 #include "transdas/model.h"
+#include "transdas/tape_reference.h"
 #include "transdas/trainer.h"
 #include "util/cpu_features.h"
 #include "util/rng.h"
@@ -68,15 +70,20 @@ int64_t SessionWindows(size_t session_len, int L) {
 /// stays off the verdict hot path (no pool contention, workspace churn, or
 /// capture-hook overhead leaking into scoring).
 std::pair<EngineResult, EngineResult> RunEngines(
-    const transdas::TransDasDetector& tape_engine,
+    transdas::TransDasModel* model,
     const transdas::TransDasDetector& fused_engine,
     const std::vector<std::vector<int>>& sessions, int64_t total_windows,
     int passes, bool explain, double* attrib_ms, int64_t* attrib_ops,
     const std::function<void()>& after_pass) {
+  const transdas::DetectorOptions& options = fused_engine.options();
+  const auto tape_detect = [model, &options](const std::vector<int>& keys) {
+    return transdas::TapeDetectSession(model, keys, options.top_p,
+                                       options.batched);
+  };
   // One untimed pass per engine warms caches (and, for the fused engine,
   // sizes the context workspaces so the timed passes run at steady state).
   for (const std::vector<int>& keys : sessions) {
-    tape_engine.DetectSession(keys);
+    tape_detect(keys);
     fused_engine.DetectSession(keys);
   }
   EngineResult tape{"tape", 0.0, 0.0};
@@ -90,7 +97,7 @@ std::pair<EngineResult, EngineResult> RunEngines(
     double fused_ms = 0.0;
     for (const std::vector<int>& keys : sessions) {
       util::Timer timer;
-      tape_engine.DetectSession(keys);
+      tape_detect(keys);
       const double mid = timer.ElapsedMillis();
       const transdas::SessionVerdict verdict =
           fused_engine.DetectSession(keys);
@@ -128,25 +135,6 @@ std::pair<EngineResult, EngineResult> RunEngines(
   return {tape, fused};
 }
 
-/// Per-operation streaming walk over every session (the §5.3 online
-/// formulation): one ScoreNextOperation per scored position. Returns the
-/// wall time of the walk in ms.
-double StreamWalk(const transdas::TransDasDetector& detector,
-                  const std::vector<std::vector<int>>& sessions) {
-  util::Timer timer;
-  for (const std::vector<int>& keys : sessions) {
-    if (keys.size() < 2) continue;
-    std::vector<int> preceding;
-    preceding.reserve(keys.size());
-    preceding.push_back(keys[0]);
-    for (size_t i = 1; i < keys.size(); ++i) {
-      detector.ScoreNextOperation(preceding, keys[i]);
-      preceding.push_back(keys[i]);
-    }
-  }
-  return timer.ElapsedMillis();
-}
-
 bool SameVerdict(const transdas::SessionVerdict& a,
                  const transdas::SessionVerdict& b) {
   if (a.abnormal != b.abnormal ||
@@ -164,16 +152,16 @@ bool SameVerdict(const transdas::SessionVerdict& a,
   return true;
 }
 
-/// UCAD_BENCH_INCREMENTAL=1: the PR 9 scoring tiers against their PR 5
-/// from-scratch counterparts on the same trained Scenario-I model —
-/// (a) multi-window batched DetectSessions vs per-window DetectSession,
-/// (b) slide-cache incremental streaming vs from-scratch streaming. All
-/// four slices run back-to-back inside each pass (min-of-N best pass), so
-/// machine-load shifts hit every tier of a pass equally. Warmup passes
-/// double as a verdict-identity check: any divergence fails the run before
-/// a single timed pass. UCAD_BENCH_ASSERT_BATCH_SPEEDUP gates the batched
-/// tier's windows/sec multiple over the fused from-scratch path.
-int RunIncrementalMode(eval::Scale scale) {
+/// UCAD_BENCH_INCREMENTAL=1: multi-window batched DetectSessions
+/// (batch_windows = 16) against per-window DetectSession on the same
+/// trained Scenario-I model. Both slices run back-to-back inside each pass
+/// (min-of-N best pass), so machine-load shifts hit both equally. The
+/// warmup pass doubles as a verdict-identity check: any divergence fails
+/// the run before a single timed pass. UCAD_BENCH_ASSERT_BATCH_SPEEDUP
+/// gates the batched windows/sec multiple over the per-window path.
+int RunBatchedMode(eval::Scale scale) {
+  // The title names the snapshot file CI gates against
+  // (bench_detect_throughput_incremental.json).
   bench::Banner("Detect throughput incremental", scale);
 
   eval::ScenarioConfig config = eval::ScenarioIConfig(scale);
@@ -191,31 +179,20 @@ int RunIncrementalMode(eval::Scale scale) {
 
   std::vector<std::vector<int>> sessions;
   int64_t total_windows = 0;
-  int64_t total_ops = 0;
   for (const eval::LabeledSet& set : ds.TestSets()) {
     for (const std::vector<int>& keys : set.sessions) {
       total_windows += SessionWindows(keys.size(), config.model.window);
-      if (keys.size() >= 2) {
-        total_ops += static_cast<int64_t>(keys.size()) - 1;
-      }
       sessions.push_back(keys);
     }
   }
-  std::printf("scoring %zu sessions (%lld windows, %lld streamed ops) per "
-              "pass\n",
-              sessions.size(), static_cast<long long>(total_windows),
-              static_cast<long long>(total_ops));
+  std::printf("scoring %zu sessions (%lld windows) per pass\n",
+              sessions.size(), static_cast<long long>(total_windows));
 
-  transdas::DetectorOptions fused_opts = config.detection;
-  fused_opts.use_tape_engine = false;
+  const transdas::DetectorOptions fused_opts = config.detection;
   transdas::DetectorOptions batch_opts = fused_opts;
   batch_opts.batch_windows = 16;
-  transdas::DetectorOptions incr_opts = fused_opts;
-  incr_opts.incremental = true;
   const transdas::TransDasDetector fused_engine(&model, fused_opts);
   const transdas::TransDasDetector batch_engine(&model, batch_opts);
-  const transdas::TransDasDetector stream_engine(&model, fused_opts);
-  const transdas::TransDasDetector incr_engine(&model, incr_opts);
 
   // Warmup (sizes workspaces, primes weight caches) + parity: the batched
   // tier must be verdict-identical to the per-window fused path.
@@ -231,18 +208,13 @@ int RunIncrementalMode(eval::Scale scale) {
       return 1;
     }
   }
-  StreamWalk(stream_engine, sessions);
-  StreamWalk(incr_engine, sessions);
 
   struct Tier {
     std::string name;
     double best_ms = 0.0;
-    int64_t units = 0;  // windows or streamed ops per pass
   };
-  Tier fused{"fused", 0.0, total_windows};
-  Tier batch{"batch", 0.0, total_windows};
-  Tier stream{"stream", 0.0, total_ops};
-  Tier incr{"incr", 0.0, total_ops};
+  Tier fused{"fused", 0.0};
+  Tier batch{"batch", 0.0};
   const int passes = scale == eval::Scale::kSmoke ? 5 : 8;
   for (int pass = 0; pass < passes; ++pass) {
     util::Timer slice;
@@ -253,11 +225,9 @@ int RunIncrementalMode(eval::Scale scale) {
     util::Timer batch_timer;
     batch_engine.DetectSessions(sessions);
     const double batch_ms = batch_timer.ElapsedMillis();
-    const double stream_ms = StreamWalk(stream_engine, sessions);
-    const double incr_ms = StreamWalk(incr_engine, sessions);
-    const double pass_ms[] = {fused_ms, batch_ms, stream_ms, incr_ms};
-    Tier* tiers[] = {&fused, &batch, &stream, &incr};
-    for (int t = 0; t < 4; ++t) {
+    const double pass_ms[] = {fused_ms, batch_ms};
+    Tier* tiers[] = {&fused, &batch};
+    for (int t = 0; t < 2; ++t) {
       obs::DefaultMetrics()
           .GetHistogram("bench/detect/" + tiers[t]->name + "_pass_ms")
           ->Observe(pass_ms[t]);
@@ -267,14 +237,12 @@ int RunIncrementalMode(eval::Scale scale) {
     }
   }
 
-  util::TablePrinter table({"Tier", "best pass (ms)", "units/sec"});
-  for (const Tier* t : {&fused, &batch, &stream, &incr}) {
+  util::TablePrinter table({"Tier", "best pass (ms)", "windows/sec"});
+  for (const Tier* t : {&fused, &batch}) {
     const double per_sec =
-        static_cast<double>(t->units) / (t->best_ms / 1000.0);
+        static_cast<double>(total_windows) / (t->best_ms / 1000.0);
     obs::DefaultMetrics()
-        .GetGauge("bench/detect/" + t->name +
-                  (t->units == total_windows ? "_windows_per_sec"
-                                             : "_ops_per_sec"))
+        .GetGauge("bench/detect/" + t->name + "_windows_per_sec")
         ->Set(per_sec);
     table.AddRow({t->name, util::FormatDouble(t->best_ms, 2),
                   util::FormatDouble(per_sec, 0)});
@@ -282,17 +250,11 @@ int RunIncrementalMode(eval::Scale scale) {
   table.Print(std::cout);
 
   const double batch_speedup = fused.best_ms / batch.best_ms;
-  const double incr_speedup = stream.best_ms / incr.best_ms;
   obs::DefaultMetrics()
       .GetGauge("bench/detect/speedup_batch_over_fused")
       ->Set(batch_speedup);
-  obs::DefaultMetrics()
-      .GetGauge("bench/detect/speedup_incr_over_stream")
-      ->Set(incr_speedup);
   std::printf("batched speedup over fused per-window: %.2fx\n",
               batch_speedup);
-  std::printf("incremental speedup over from-scratch streaming: %.2fx\n",
-              incr_speedup);
 
   const char* assert_env = std::getenv("UCAD_BENCH_ASSERT_BATCH_SPEEDUP");
   if (assert_env != nullptr && *assert_env != '\0') {
@@ -329,23 +291,20 @@ bool SameVerdictStructure(const transdas::SessionVerdict& a,
 }
 
 /// UCAD_BENCH_SIMD=1: the kernel tiers (docs/INFERENCE.md) against each
-/// other on the same trained Scenario-I model — reference, vectorized,
-/// and int8 detectors share the model and run back-to-back inside each
-/// pass, so machine-load shifts hit every tier of a pass equally. The
-/// warmup pass doubles as the verdict cross-check: the vectorized tier
-/// must be verdict-identical (ranks + flags) to reference on every test
-/// session, and the int8 tier's flag agreement is measured and reported.
-/// UCAD_BENCH_ASSERT_SIMD_SPEEDUP gates the vectorized tier's
-/// windows/sec multiple over reference (a within-run ratio, immune to
-/// machine-speed differences); the int8 ratio is reported only — at
-/// Scenario-I shapes the quantize/dequantize overhead typically exceeds
-/// the multiply savings, and the tier exists for memory-bound deployments.
+/// other on the same trained Scenario-I model — reference and vectorized
+/// detectors share the model and run back-to-back inside each pass, so
+/// machine-load shifts hit both tiers of a pass equally. The warmup pass
+/// doubles as the verdict cross-check: the vectorized tier must be
+/// verdict-identical (ranks + flags) to reference on every test session.
+/// UCAD_BENCH_ASSERT_SIMD_SPEEDUP gates the vectorized tier's windows/sec
+/// multiple over reference (a within-run ratio, immune to machine-speed
+/// differences).
 int RunSimdMode(eval::Scale scale) {
   bench::Banner("Detect throughput simd", scale);
   std::printf("cpu features: %s, active isa: %s\n",
               util::CpuFeaturesString().c_str(),
               util::SimdIsaName(util::ActiveSimdIsa()));
-  bench::AddManifestNote("kernel_tiers", "reference,vectorized,int8");
+  bench::AddManifestNote("kernel_tiers", "reference,vectorized");
 
   eval::ScenarioConfig config = eval::ScenarioIConfig(scale);
   // The kernel comparison runs at the paper's Scenario-I dims regardless
@@ -383,51 +342,26 @@ int RunSimdMode(eval::Scale scale) {
   std::printf("scoring %zu sessions (%lld windows) per pass\n",
               sessions.size(), static_cast<long long>(total_windows));
 
-  transdas::DetectorOptions ref_opts = config.detection;
-  ref_opts.use_tape_engine = false;
+  const transdas::DetectorOptions ref_opts = config.detection;
   transdas::DetectorOptions vec_opts = ref_opts;
   vec_opts.kernel_tier = nn::KernelTier::kVectorized;
-  transdas::DetectorOptions int8_opts = ref_opts;
-  int8_opts.kernel_tier = nn::KernelTier::kInt8;
   const transdas::TransDasDetector ref_engine(&model, ref_opts);
   const transdas::TransDasDetector vec_engine(&model, vec_opts);
-  const transdas::TransDasDetector int8_engine(&model, int8_opts);
 
-  // Warmup (sizes workspaces, builds the int8 weight cache) + parity: the
-  // vectorized tier must be verdict-identical to reference; int8 flag
-  // agreement is measured per operation and per session.
-  int64_t ops_total = 0, ops_agree = 0;
-  int64_t flags_agree = 0;
+  // Warmup (sizes workspaces) + parity: the vectorized tier must be
+  // verdict-identical to reference.
   for (size_t s = 0; s < sessions.size(); ++s) {
-    const transdas::SessionVerdict ref = ref_engine.DetectSession(sessions[s]);
-    const transdas::SessionVerdict vec = vec_engine.DetectSession(sessions[s]);
-    const transdas::SessionVerdict i8 = int8_engine.DetectSession(sessions[s]);
-    if (!SameVerdictStructure(ref, vec)) {
+    if (!SameVerdictStructure(ref_engine.DetectSession(sessions[s]),
+                              vec_engine.DetectSession(sessions[s]))) {
       std::fprintf(stderr,
                    "FAIL: vectorized verdicts diverge from reference on "
                    "session %zu\n",
                    s);
       return 1;
     }
-    if (i8.abnormal == ref.abnormal) ++flags_agree;
-    for (size_t i = 0;
-         i < ref.operations.size() && i < i8.operations.size(); ++i) {
-      ++ops_total;
-      if (i8.operations[i].abnormal == ref.operations[i].abnormal) {
-        ++ops_agree;
-      }
-    }
   }
-  const double int8_op_agreement =
-      ops_total > 0 ? static_cast<double>(ops_agree) / ops_total : 1.0;
   std::printf("vectorized verdict identity: OK (%zu sessions)\n",
               sessions.size());
-  std::printf("int8 flag agreement: %.4f per-op, %lld/%zu sessions\n",
-              int8_op_agreement, static_cast<long long>(flags_agree),
-              sessions.size());
-  obs::DefaultMetrics()
-      .GetGauge("bench/detect/int8_flag_agreement")
-      ->Set(int8_op_agreement);
 
   struct Tier {
     std::string name;
@@ -435,8 +369,7 @@ int RunSimdMode(eval::Scale scale) {
     double best_ms = 0.0;
   };
   Tier tiers[] = {{"reference", &ref_engine, 0.0},
-                  {"vectorized", &vec_engine, 0.0},
-                  {"int8", &int8_engine, 0.0}};
+                  {"vectorized", &vec_engine, 0.0}};
   const int passes = scale == eval::Scale::kSmoke ? 5 : 8;
   for (int pass = 0; pass < passes; ++pass) {
     for (Tier& t : tiers) {
@@ -465,16 +398,10 @@ int RunSimdMode(eval::Scale scale) {
   table.Print(std::cout);
 
   const double vec_speedup = tiers[0].best_ms / tiers[1].best_ms;
-  const double int8_speedup = tiers[0].best_ms / tiers[2].best_ms;
   obs::DefaultMetrics()
       .GetGauge("bench/detect/speedup_vectorized_over_reference")
       ->Set(vec_speedup);
-  obs::DefaultMetrics()
-      .GetGauge("bench/detect/speedup_int8_over_reference")
-      ->Set(int8_speedup);
   std::printf("vectorized speedup over reference: %.2fx\n", vec_speedup);
-  std::printf("int8 speedup over reference: %.2fx (reported, not gated)\n",
-              int8_speedup);
 
   const char* assert_env = std::getenv("UCAD_BENCH_ASSERT_SIMD_SPEEDUP");
   if (assert_env != nullptr && *assert_env != '\0') {
@@ -502,7 +429,7 @@ int main() {
   }
   const char* inc_env = std::getenv("UCAD_BENCH_INCREMENTAL");
   if (inc_env != nullptr && *inc_env != '\0' && std::string(inc_env) != "0") {
-    return RunIncrementalMode(scale);
+    return RunBatchedMode(scale);
   }
   bench::Banner("Detect throughput", scale);
 
@@ -530,12 +457,7 @@ int main() {
   std::printf("scoring %zu sessions (%lld windows) per pass\n",
               sessions.size(), static_cast<long long>(total_windows));
 
-  transdas::DetectorOptions tape_opts = config.detection;
-  tape_opts.use_tape_engine = true;
-  transdas::DetectorOptions fused_opts = config.detection;
-  fused_opts.use_tape_engine = false;
-  const transdas::TransDasDetector tape_engine(&model, tape_opts);
-  const transdas::TransDasDetector fused_engine(&model, fused_opts);
+  const transdas::TransDasDetector fused_engine(&model, config.detection);
 
   const char* explain_env = std::getenv("UCAD_BENCH_EXPLAIN");
   const bool explain = explain_env != nullptr && *explain_env != '\0' &&
@@ -590,7 +512,7 @@ int main() {
   double attrib_ms = 0.0;
   int64_t attrib_ops = 0;
   const auto [tape, fused] =
-      RunEngines(tape_engine, fused_engine, sessions, total_windows, passes,
+      RunEngines(&model, fused_engine, sessions, total_windows, passes,
                  explain, &attrib_ms, &attrib_ops, after_pass);
   if (store) store->Stop();
   const double speedup = tape.best_pass_ms / fused.best_pass_ms;

@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the substrate kernels on the
 // training/detection hot paths: matmul, softmax, a full attention block,
 // one Trans-DAS training step, preprocessing primitives, and the per-tier
-// inference kernels (reference vs vectorized vs int8 GEMM) at the
-// detector's Scenario-I shapes.
+// inference kernels (reference vs vectorized) at the detector's Scenario-I
+// shapes.
 
 #include <benchmark/benchmark.h>
 
@@ -98,9 +98,7 @@ BENCHMARK(BM_TransDasTrainStep)->Arg(30)->Arg(50);
 //
 // Arg 0 selects the tier (0 = reference, 1 = vectorized); shapes are the
 // detection hot path's: [L=30 x h=10] activations against the packed Q|K|V
-// ([10 x 32]) and all-key-logits ([10 x vocab]) weights. The int8 GEMM has
-// its own benchmark (it replaces these matmuls at the model level rather
-// than inside MatMulSliceKernel).
+// ([10 x 32]) and all-key-logits ([10 x vocab]) weights.
 
 void BM_InferMatMulSlice(benchmark::State& state) {
   const auto tier = static_cast<nn::KernelTier>(state.range(0));
@@ -122,23 +120,6 @@ BENCHMARK(BM_InferMatMulSlice)
     ->Args({1, 32})
     ->Args({0, 512})
     ->Args({1, 512});
-
-void BM_InferInt8Gemm(benchmark::State& state) {
-  const int cols = static_cast<int>(state.range(0));
-  const int L = 30, h = 10;
-  util::Rng rng(6);
-  const nn::Tensor a = nn::Tensor::Randn(L, h, 1.0f, &rng);
-  const nn::Tensor b = nn::Tensor::Randn(h, cols, 1.0f, &rng);
-  nn::QuantizedWeight q;
-  nn::QuantizeWeightRows(b, /*transpose=*/true, &q);
-  nn::Tensor out(L, cols);
-  for (auto _ : state) {
-    nn::Int8GemmKernel(a, 0, h, q, 0, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2ll * L * h * cols);
-}
-BENCHMARK(BM_InferInt8Gemm)->Arg(32)->Arg(512);
 
 void BM_InferMaskedSoftmax(benchmark::State& state) {
   const auto tier = static_cast<nn::KernelTier>(state.range(0));
@@ -216,7 +197,7 @@ void BM_InferForwardTier(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * config.window);
 }
-BENCHMARK(BM_InferForwardTier)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_InferForwardTier)->Arg(0)->Arg(1);
 
 void BM_StatementAbstraction(benchmark::State& state) {
   const std::string sql =

@@ -22,12 +22,10 @@ std::atomic<int64_t> g_live_contexts{0};
 std::atomic<uint64_t> g_forwards_total{0};
 std::atomic<int64_t> g_ws_live_bytes{0};
 std::atomic<int64_t> g_ws_peak_bytes{0};
-std::atomic<uint64_t> g_slide_hits_total{0};
-std::atomic<uint64_t> g_slide_misses_total{0};
 std::atomic<uint64_t> g_batches_total{0};
 std::atomic<uint64_t> g_batched_windows_total{0};
 std::atomic<uint64_t> g_batched_slots_total{0};
-std::atomic<uint64_t> g_tier_forwards_total[3] = {{0}, {0}, {0}};
+std::atomic<uint64_t> g_tier_forwards_total[2] = {{0}, {0}};
 std::atomic<int> g_last_forward_tier{0};
 
 }  // namespace
@@ -49,14 +47,6 @@ int64_t WorkspaceLiveBytes() {
 
 uint64_t InferForwardsTotal() {
   return g_forwards_total.load(std::memory_order_relaxed);
-}
-
-uint64_t SlideCacheHitsTotal() {
-  return g_slide_hits_total.load(std::memory_order_relaxed);
-}
-
-uint64_t SlideCacheMissesTotal() {
-  return g_slide_misses_total.load(std::memory_order_relaxed);
 }
 
 uint64_t BatchForwardsTotal() {
@@ -115,37 +105,12 @@ InferenceContext::InferenceContext() {
 InferenceContext::~InferenceContext() {
   g_live_contexts.fetch_sub(1, std::memory_order_relaxed);
   // The two workspaces subtract their own bytes in ~Workspace; the derived
-  // weight caches (float and quantized) and the slide cache are accounted
-  // here.
+  // weight cache is accounted here.
   int64_t cached_bytes = 0;
   for (const auto& [key, entry] : weight_cache_) {
     cached_bytes += static_cast<int64_t>(entry.tensor.size() * sizeof(float));
   }
-  for (const auto& [key, entry] : quant_cache_) {
-    cached_bytes += static_cast<int64_t>(entry.weight.bytes());
-  }
-  cached_bytes += static_cast<int64_t>(
-      (slide_cache_.embed.size() + slide_cache_.qkv0.size()) * sizeof(float));
   internal::RecordWorkspaceBytes(-cached_bytes);
-}
-
-void InferenceContext::EnsureSlideCacheShapes(int window, int hidden,
-                                              int packed_cols) {
-  WindowSlideCache& sc = slide_cache_;
-  if (sc.embed.rows() == window && sc.embed.cols() == hidden &&
-      sc.qkv0.rows() == window && sc.qkv0.cols() == packed_cols) {
-    return;
-  }
-  const int64_t before = static_cast<int64_t>(
-      (sc.embed.size() + sc.qkv0.size()) * sizeof(float));
-  sc.embed = Tensor(window, hidden);
-  sc.qkv0 = Tensor(window, packed_cols);
-  sc.keys.assign(static_cast<size_t>(window), 0);
-  sc.valid = false;
-  internal::RecordWorkspaceBytes(
-      static_cast<int64_t>((sc.embed.size() + sc.qkv0.size()) *
-                           sizeof(float)) -
-      before);
 }
 
 const Tensor& InferenceContext::CachedWeight(
@@ -173,34 +138,11 @@ const Tensor& InferenceContext::TransposedCopy(const Tensor& src,
                       [&src](Tensor* out) { TransposeKernel(src, out); });
 }
 
-const QuantizedWeight& InferenceContext::CachedQuantWeight(const void* key,
-                                                           uint64_t version,
-                                                           const Tensor& src,
-                                                           bool transpose) {
-  QuantCacheEntry& entry = quant_cache_[key];
-  if (entry.version != version || entry.src_rows != src.rows() ||
-      entry.src_cols != src.cols() || entry.weight.scales.empty()) {
-    const int64_t before = static_cast<int64_t>(entry.weight.bytes());
-    QuantizeWeightRows(src, transpose, &entry.weight);
-    entry.version = version;
-    entry.src_rows = src.rows();
-    entry.src_cols = src.cols();
-    internal::RecordWorkspaceBytes(
-        static_cast<int64_t>(entry.weight.bytes()) - before);
-  }
-  return entry.weight;
-}
-
 void InferenceContext::NoteForward(KernelTier tier) {
   g_forwards_total.fetch_add(1, std::memory_order_relaxed);
   g_tier_forwards_total[static_cast<int>(tier)].fetch_add(
       1, std::memory_order_relaxed);
   g_last_forward_tier.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-void InferenceContext::NoteSlideCache(bool hit) {
-  (hit ? g_slide_hits_total : g_slide_misses_total)
-      .fetch_add(1, std::memory_order_relaxed);
 }
 
 void InferenceContext::NoteBatchForward(int windows, int capacity) {
@@ -754,32 +696,22 @@ void PublishInferMetrics(obs::MetricsRegistry* registry) {
                   g_contexts_total.load(std::memory_order_relaxed));
   publish_counter("nn/infer/forwards_total",
                   g_forwards_total.load(std::memory_order_relaxed));
-  publish_counter("nn/infer/slide_cache_hits",
-                  g_slide_hits_total.load(std::memory_order_relaxed));
-  publish_counter("nn/infer/slide_cache_misses",
-                  g_slide_misses_total.load(std::memory_order_relaxed));
   publish_counter("nn/infer/batches_total",
                   g_batches_total.load(std::memory_order_relaxed));
   publish_counter("nn/infer/batched_windows_total",
                   g_batched_windows_total.load(std::memory_order_relaxed));
-  for (const KernelTier tier : {KernelTier::kReference, KernelTier::kVectorized,
-                                KernelTier::kInt8}) {
+  for (const KernelTier tier :
+       {KernelTier::kReference, KernelTier::kVectorized}) {
     obs::Counter* counter = registry->GetCounter(
         "nn/infer/tier_forwards_total", {{"tier", KernelTierName(tier)}});
     const uint64_t value = internal::TierForwardsTotal(tier);
     if (value > counter->Value()) counter->Increment(value - counter->Value());
   }
-  publish_counter("nn/infer/int8_gemm_rows_total",
-                  internal::Int8GemmRowsTotal());
   registry->GetGauge("nn/infer/kernel_tier")
       ->Set(static_cast<double>(
           g_last_forward_tier.load(std::memory_order_relaxed)));
   registry->GetGauge("nn/infer/simd_isa")
       ->Set(static_cast<double>(static_cast<int>(util::ActiveSimdIsa())));
-  registry->GetGauge("nn/infer/quant_weight_max_abs_err")
-      ->Set(internal::QuantWeightMaxAbsErr());
-  registry->GetGauge("nn/infer/quant_act_max_abs_err")
-      ->Set(internal::QuantActMaxAbsErr());
   const uint64_t slots = g_batched_slots_total.load(std::memory_order_relaxed);
   registry->GetGauge("nn/infer/batch_occupancy")
       ->Set(slots == 0 ? 0.0

@@ -62,30 +62,6 @@ class Workspace {
 /// windows; construction is cheap, the first forward sizes everything.
 class InferenceContext {
  public:
-  /// Cross-window sliding cache for the streaming scorer. UCAD windows are
-  /// order-free (no positional encodings), so a per-position row of the
-  /// embedding matrix — and, because the block-0 Q|K|V projection is
-  /// row-wise, that position's packed projection row — is a pure function
-  /// of (key, weight version). Consecutive sliding windows share L-1 keys;
-  /// the cache retains both row sets so a slide recomputes only the newly
-  /// arrived position. Validity is decided by comparing the cached window's
-  /// keys (not a session id): equal keys imply bitwise-equal rows, so hits
-  /// across interleaved sessions are exact and misses merely recompute.
-  struct WindowSlideCache {
-    /// Model the rows were derived from (cache is per-model).
-    const void* model = nullptr;
-    /// weight_version() at fill time; any bump invalidates (hot swap,
-    /// fine-tune, FreezePaddingRow).
-    uint64_t version = 0;
-    /// The exact (sanitized) window the rows belong to.
-    std::vector<int> keys;
-    /// Cached embedding rows, [L x h].
-    Tensor embed;
-    /// Cached block-0 packed Q|K|V projection rows, [L x packed_cols].
-    Tensor qkv0;
-    bool valid = false;
-  };
-
   InferenceContext();
   InferenceContext(const InferenceContext&) = delete;
   InferenceContext& operator=(const InferenceContext&) = delete;
@@ -98,12 +74,6 @@ class InferenceContext {
   /// arena with single-window frames would churn slot shapes every time a
   /// pooled context alternates between the two modes.
   Workspace& batch_workspace() { return batch_workspace_; }
-
-  WindowSlideCache& slide_cache() { return slide_cache_; }
-
-  /// Sizes (and byte-accounts) the slide-cache tensors; a no-op once the
-  /// shapes match, so steady-state slides never allocate.
-  void EnsureSlideCacheShapes(int window, int hidden, int packed_cols);
 
   /// `src` transposed, cached until `version` (or the source pointer)
   /// changes. Transposition is a pure copy, so the cache cannot perturb
@@ -118,25 +88,9 @@ class InferenceContext {
                              int cols,
                              const std::function<void(Tensor*)>& fill);
 
-  /// int8 twin of CachedWeight: returns `src` quantized to per-row-scale
-  /// int8 (QuantizeWeightRows semantics, transpose included), rebuilt
-  /// whenever the version or source shape changes — i.e. prepared once per
-  /// MarkWeightsUpdated, amortized across every int8-tier forward. Kept in
-  /// a map separate from the float cache so a source tensor can serve as
-  /// the key of both. Contexts are pooled per detector and a detector has
-  /// one fixed kernel tier, so float and quantized caches never mix within
-  /// a slide-cache lineage.
-  const QuantizedWeight& CachedQuantWeight(const void* key, uint64_t version,
-                                           const Tensor& src, bool transpose);
-
   /// Called by the engine after each full forward (feeds nn/infer metrics);
   /// `tier` attributes the forward to its kernel tier.
   void NoteForward(KernelTier tier = KernelTier::kReference);
-
-  /// Slide-cache accounting (feeds nn/infer/slide_cache_{hits,misses}):
-  /// called once per slide-cached forward, hit when the cache supplied the
-  /// embedding + block-0 QKV rows (exact match or one-position slide).
-  void NoteSlideCache(bool hit);
 
   /// Batched-forward accounting: one batched forward packed `windows` of
   /// `capacity` slots (feeds nn/infer/batches_total, batched_windows_total
@@ -173,18 +127,10 @@ class InferenceContext {
     uint64_t version = 0;
     Tensor tensor;
   };
-  struct QuantCacheEntry {
-    uint64_t version = 0;
-    int src_rows = 0;
-    int src_cols = 0;
-    QuantizedWeight weight;
-  };
 
   Workspace workspace_;
   Workspace batch_workspace_;
-  WindowSlideCache slide_cache_;
   std::unordered_map<const void*, CacheEntry> weight_cache_;
-  std::unordered_map<const void*, QuantCacheEntry> quant_cache_;
   int attention_capture_row_ = -1;
   std::vector<std::vector<float>> captured_attention_;
 };
@@ -196,8 +142,8 @@ class InferenceContext {
 // bookkeeping, and intermediate buffers, but every float store happens in
 // the same order with the same value as the corresponding tape ops, so the
 // engines agree bitwise (docs/INFERENCE.md). When the calling thread's
-// ambient tier (simd.h) is kVectorized or kInt8, the arithmetic kernels
-// route to the relaxed fast:: bodies instead — runtime-dispatched
+// ambient tier (simd.h) is kVectorized, the arithmetic kernels route to
+// the relaxed fast:: bodies instead — runtime-dispatched
 // vectorized implementations whose contract is verdict identity, not
 // bitwise logits. Pure-copy kernels (gather/transpose) are tier-invariant.
 // Row-partitioned kernels dispatch through the global thread pool above the
@@ -327,20 +273,15 @@ RowScore ScoreLogitsRow(const float* logits, int vocab, int key, int top_p);
 
 /// Publishes the process-wide inference-engine accounting into `registry`:
 /// nn/infer/contexts_total + nn/infer/forwards_total +
-/// nn/infer/slide_cache_hits + nn/infer/slide_cache_misses +
 /// nn/infer/batches_total + nn/infer/batched_windows_total +
-/// nn/infer/tier_forwards_total{tier=...} +
-/// nn/infer/int8_gemm_rows_total (counters),
+/// nn/infer/tier_forwards_total{tier=...} (counters),
 /// nn/infer/live_contexts + nn/infer/workspace_live_bytes +
 /// nn/infer/workspace_peak_bytes + nn/infer/batch_occupancy +
 /// nn/infer/kernel_tier (ordinal of the most recent forward's tier) +
-/// nn/infer/simd_isa (ordinal of util::ActiveSimdIsa()) +
-/// nn/infer/quant_weight_max_abs_err + nn/infer/quant_act_max_abs_err
-/// (gauges; the quant errors are process-lifetime watermarks of
-/// |dequantized - original|, the occupancy is cumulative batched windows /
-/// batched slots, in (0, 1] once any batch ran). Counters are relaxed
-/// atomics fed off the hot path (workspace growth and frame completion
-/// only).
+/// nn/infer/simd_isa (ordinal of util::ActiveSimdIsa()) (gauges; the
+/// occupancy is cumulative batched windows / batched slots, in (0, 1] once
+/// any batch ran). Counters are relaxed atomics fed off the hot path
+/// (workspace growth and frame completion only).
 void PublishInferMetrics(obs::MetricsRegistry* registry);
 
 namespace internal {
@@ -348,8 +289,6 @@ namespace internal {
 void RecordWorkspaceBytes(int64_t delta);
 int64_t WorkspaceLiveBytes();
 uint64_t InferForwardsTotal();
-uint64_t SlideCacheHitsTotal();
-uint64_t SlideCacheMissesTotal();
 uint64_t BatchForwardsTotal();
 uint64_t BatchedWindowsTotal();
 uint64_t BatchedSlotsTotal();

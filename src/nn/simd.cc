@@ -1,7 +1,6 @@
 #include "nn/simd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -22,30 +21,6 @@ namespace {
 
 thread_local KernelTier t_kernel_tier = KernelTier::kReference;
 
-/// Error watermarks stored as raw float bits: all recorded errors are
-/// non-negative, and the IEEE-754 bit pattern of non-negative floats orders
-/// like the values, so a monotonic integer CAS-max is a float max.
-std::atomic<uint32_t> g_quant_weight_err_bits{0};
-std::atomic<uint32_t> g_quant_act_err_bits{0};
-std::atomic<uint64_t> g_int8_rows_total{0};
-
-void MaxUpdate(std::atomic<uint32_t>* bits, float value) {
-  if (!(value > 0.0f)) return;
-  uint32_t v;
-  std::memcpy(&v, &value, sizeof(v));
-  uint32_t cur = bits->load(std::memory_order_relaxed);
-  while (v > cur &&
-         !bits->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-float LoadErr(const std::atomic<uint32_t>& bits) {
-  const uint32_t v = bits.load(std::memory_order_relaxed);
-  float out;
-  std::memcpy(&out, &v, sizeof(out));
-  return out;
-}
-
 bool UseAvx2() {
 #if UCAD_SIMD_HAVE_AVX2
   return util::ActiveSimdIsa() == util::SimdIsa::kAvx2;
@@ -62,8 +37,6 @@ const char* KernelTierName(KernelTier tier) {
       return "reference";
     case KernelTier::kVectorized:
       return "vectorized";
-    case KernelTier::kInt8:
-      return "int8";
   }
   return "reference";
 }
@@ -73,8 +46,6 @@ bool ParseKernelTier(const std::string& name, KernelTier* out) {
     *out = KernelTier::kReference;
   } else if (name == "vectorized") {
     *out = KernelTier::kVectorized;
-  } else if (name == "int8") {
-    *out = KernelTier::kInt8;
   } else {
     return false;
   }
@@ -111,6 +82,10 @@ constexpr float kExpP5 = 5.0000001201e-1f;
 }  // namespace
 
 float Exp(float x) {
+  // Below kExpLo the result is not a normal float: return exact zero rather
+  // than a clamped 2^-126 whose products in the softmax normalization and
+  // the attention context would run through subnormal microcode assists.
+  if (x < kExpLo) return 0.0f;
   x = std::min(kExpHi, std::max(kExpLo, x));
   const float n = std::floor(x * kLog2e + 0.5f);
   float r = x - n * kLn2Hi;
@@ -134,7 +109,13 @@ namespace {
 
 /// 8-lane twin of Exp(): same range reduction and polynomial, so scalar
 /// tails and vector lanes agree to within the approximation's own error.
+/// Lanes below kExpLo are masked to exact zero, as in the scalar Exp().
+/// They evaluate the polynomial at 0 rather than at kExpLo, whose
+/// 2^-126-scaled product can itself be subnormal and cost an assist.
 inline __m256 Exp8(__m256 x) {
+  const __m256 underflow =
+      _mm256_cmp_ps(x, _mm256_set1_ps(kExpLo), _CMP_LT_OQ);
+  x = _mm256_andnot_ps(underflow, x);
   x = _mm256_min_ps(_mm256_set1_ps(kExpHi), x);
   x = _mm256_max_ps(_mm256_set1_ps(kExpLo), x);
   const __m256 n = _mm256_floor_ps(
@@ -151,7 +132,8 @@ inline __m256 Exp8(__m256 x) {
       _mm256_fmadd_ps(p, _mm256_mul_ps(r, r), r), _mm256_set1_ps(1.0f));
   const __m256i bits = _mm256_slli_epi32(
       _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
-  return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+  return _mm256_andnot_ps(underflow,
+                          _mm256_mul_ps(p, _mm256_castsi256_ps(bits)));
 }
 
 inline float HorizontalMax(__m256 v) {
@@ -640,167 +622,5 @@ void BatchedAttnHead(const Tensor& qkv, int num_windows, int L,
 }
 
 }  // namespace fast
-
-// ---- int8 quantized GEMM ---------------------------------------------------
-
-void QuantizeWeightRows(const Tensor& src, bool transpose,
-                        QuantizedWeight* out) {
-  const int rows = transpose ? src.cols() : src.rows();
-  const int cols = transpose ? src.rows() : src.cols();
-  out->rows = rows;
-  out->cols = cols;
-  out->padded_cols = (cols + 31) / 32 * 32;
-  out->data.assign(static_cast<size_t>(rows) * out->padded_cols, 0);
-  out->scales.assign(static_cast<size_t>(rows), 0.0f);
-  float worst = 0.0f;
-  for (int r = 0; r < rows; ++r) {
-    const auto at = [&](int c) {
-      return transpose ? src.at(c, r) : src.at(r, c);
-    };
-    float amax = 0.0f;
-    for (int c = 0; c < cols; ++c) amax = std::max(amax, std::fabs(at(c)));
-    if (amax == 0.0f) continue;  // all-zero row (padding): scale 0, q = 0
-    const float scale = amax / 127.0f;
-    const float inv = 127.0f / amax;
-    out->scales[static_cast<size_t>(r)] = scale;
-    int8_t* qrow = out->data.data() + static_cast<size_t>(r) * out->padded_cols;
-    for (int c = 0; c < cols; ++c) {
-      const float v = at(c);
-      int q = static_cast<int>(std::lround(v * inv));
-      q = std::min(127, std::max(-127, q));
-      qrow[c] = static_cast<int8_t>(q);
-      worst = std::max(worst, std::fabs(static_cast<float>(q) * scale - v));
-    }
-  }
-  out->max_abs_err = worst;
-  internal::NoteQuantWeightError(worst);
-}
-
-namespace {
-
-#if UCAD_SIMD_HAVE_AVX2
-
-/// int8 x int8 -> int32 dot over a 32-padded depth: widen each 16-lane
-/// half to int16 and vpmaddwd into int32 accumulators. Operand magnitudes
-/// are <= 127, so the pairwise int16 products (<= 16129) and the <= depth/2
-/// int32 partials are nowhere near overflow.
-inline int32_t DotI8Avx2(const int8_t* x, const int8_t* y, int kp) {
-  __m256i acc = _mm256_setzero_si256();
-  for (int c = 0; c + 32 <= kp; c += 32) {
-    const __m256i xv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + c));
-    const __m256i yv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + c));
-    const __m256i xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-    const __m256i xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-    const __m256i ylo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(yv));
-    const __m256i yhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(yv, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, ylo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, yhi));
-  }
-  __m128i lo = _mm256_castsi256_si128(acc);
-  __m128i hi = _mm256_extracti128_si256(acc, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_add_epi32(lo, _mm_unpackhi_epi64(lo, lo));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, 1));
-  return _mm_cvtsi128_si32(lo);
-}
-
-#endif  // UCAD_SIMD_HAVE_AVX2
-
-inline int32_t DotI8Generic(const int8_t* x, const int8_t* y, int kp) {
-  int32_t acc = 0;
-  for (int c = 0; c < kp; ++c) {
-    acc += static_cast<int32_t>(x[c]) * static_cast<int32_t>(y[c]);
-  }
-  return acc;
-}
-
-}  // namespace
-
-void Int8GemmKernel(const Tensor& a, int acol0, int k, const QuantizedWeight& w,
-                    int row0, Tensor* out, float post_scale, int row1) {
-  UCAD_DCHECK(w.cols == k);
-  UCAD_DCHECK(acol0 >= 0 && acol0 + k <= a.cols());
-  UCAD_DCHECK(out->rows() == a.rows() && out->cols() == w.rows);
-  const int end = row1 < 0 ? a.rows() : row1;
-  UCAD_DCHECK(row0 >= 0 && row0 <= end && end <= a.rows());
-  const bool avx2 = UseAvx2();
-  const int kp = w.padded_cols;
-  const int n = w.rows;
-  RowParallelFor(row0, end, k * n, [&, avx2](int64_t r0, int64_t r1) {
-    constexpr int kInlineK = 256;
-    alignas(32) int8_t inline_aq[kInlineK];
-    std::vector<int8_t> heap_aq;
-    int8_t* aq = inline_aq;
-    if (kp > kInlineK) {
-      heap_aq.assign(static_cast<size_t>(kp), 0);
-      aq = heap_aq.data();
-    }
-    std::memset(aq, 0, static_cast<size_t>(kp));
-    float worst_err = 0.0f;
-    for (int64_t ri = r0; ri < r1; ++ri) {
-      const int r = static_cast<int>(ri);
-      const float* arow = a.row(r) + acol0;
-      float* orow = out->row(r);
-      float amax = 0.0f;
-      for (int c = 0; c < k; ++c) amax = std::max(amax, std::fabs(arow[c]));
-      if (amax == 0.0f) {
-        for (int j = 0; j < n; ++j) orow[j] = 0.0f;
-        continue;
-      }
-      const float ascale = amax / 127.0f;
-      const float inv = 127.0f / amax;
-      for (int c = 0; c < k; ++c) {
-        int q = static_cast<int>(std::lround(arow[c] * inv));
-        q = std::min(127, std::max(-127, q));
-        aq[c] = static_cast<int8_t>(q);
-        worst_err = std::max(
-            worst_err, std::fabs(static_cast<float>(q) * ascale - arow[c]));
-      }
-      const float s = ascale * post_scale;
-      const int8_t* wdata = w.data.data();
-      const float* wscales = w.scales.data();
-#if UCAD_SIMD_HAVE_AVX2
-      if (avx2) {
-        for (int j = 0; j < n; ++j) {
-          const int32_t acc =
-              DotI8Avx2(aq, wdata + static_cast<size_t>(j) * kp, kp);
-          orow[j] = static_cast<float>(acc) * (s * wscales[j]);
-        }
-        continue;
-      }
-#endif
-      for (int j = 0; j < n; ++j) {
-        const int32_t acc =
-            DotI8Generic(aq, wdata + static_cast<size_t>(j) * kp, kp);
-        orow[j] = static_cast<float>(acc) * (s * wscales[j]);
-      }
-    }
-    MaxUpdate(&g_quant_act_err_bits, worst_err);
-    g_int8_rows_total.fetch_add(static_cast<uint64_t>(r1 - r0),
-                                std::memory_order_relaxed);
-  });
-}
-
-namespace internal {
-
-double QuantWeightMaxAbsErr() {
-  return static_cast<double>(LoadErr(g_quant_weight_err_bits));
-}
-
-double QuantActMaxAbsErr() {
-  return static_cast<double>(LoadErr(g_quant_act_err_bits));
-}
-
-uint64_t Int8GemmRowsTotal() {
-  return g_int8_rows_total.load(std::memory_order_relaxed);
-}
-
-void NoteQuantWeightError(float max_abs_err) {
-  MaxUpdate(&g_quant_weight_err_bits, max_abs_err);
-}
-
-}  // namespace internal
 
 }  // namespace ucad::nn

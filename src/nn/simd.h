@@ -1,9 +1,7 @@
 #ifndef UCAD_NN_SIMD_H_
 #define UCAD_NN_SIMD_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "nn/tensor.h"
 #include "util/cpu_features.h"
@@ -12,7 +10,7 @@ namespace ucad::nn {
 
 // ---- Kernel tiers ----------------------------------------------------------
 //
-// The inference kernels in infer.cc run under one of three tiers
+// The inference kernels in infer.cc run under one of two tiers
 // (docs/INFERENCE.md "Kernel tiers"):
 //
 //   kReference   bitwise-identical to the autograd tape: the PR 5 contract.
@@ -21,11 +19,6 @@ namespace ucad::nn {
 //                polynomial exp softmax, float (not double) accumulation in
 //                softmax sums and LayerNorm moments. Contract: verdict
 //                identity (ranks/flags), not logits identity.
-//   kInt8        kVectorized plus int8 weight-quantized GEMMs for the packed
-//                Q|K|V projections and the all-key logits matmul (per-row
-//                weight scales prepared at CachedWeight time, activations
-//                quantized per row on the fly). Contract: verdict agreement
-//                within the eval-metric tolerance gate.
 //
 // The tier is a per-thread ambient (ScopedKernelTier below) set by the
 // detector's forward sites from DetectorOptions::kernel_tier; kernels read
@@ -34,10 +27,9 @@ namespace ucad::nn {
 enum class KernelTier {
   kReference = 0,
   kVectorized = 1,
-  kInt8 = 2,
 };
 
-/// Stable lowercase name ("reference", "vectorized", "int8").
+/// Stable lowercase name ("reference", "vectorized").
 const char* KernelTierName(KernelTier tier);
 
 /// Parses a KernelTierName; returns false (and leaves *out alone) on junk.
@@ -62,45 +54,6 @@ class ScopedKernelTier {
   KernelTier saved_;
 };
 
-// ---- int8 weight quantization ----------------------------------------------
-
-/// A weight matrix quantized to int8 with symmetric per-row scales, laid out
-/// [rows x padded_cols] with the depth dimension zero-padded to a multiple
-/// of 32 so vector dot products never need a tail. Row r dequantizes as
-/// data[r][c] * scales[r]; scales[r] = maxabs(row r) / 127.
-struct QuantizedWeight {
-  std::vector<int8_t> data;
-  std::vector<float> scales;
-  int rows = 0;
-  int cols = 0;
-  int padded_cols = 0;
-  /// Largest |dequantized - original| over all elements, recorded at
-  /// quantization time (feeds nn/infer/quant_weight_max_abs_err).
-  float max_abs_err = 0.0f;
-
-  size_t bytes() const {
-    return data.size() * sizeof(int8_t) + scales.size() * sizeof(float);
-  }
-};
-
-/// Quantizes `src` into `out`. With transpose = false, out row r is src row
-/// r ([N x K] sources like the embedding table, one output feature per
-/// row). With transpose = true, out row r is src column r ([K x N] sources
-/// like the packed Q|K|V projection, whose output features are columns).
-void QuantizeWeightRows(const Tensor& src, bool transpose,
-                        QuantizedWeight* out);
-
-/// out[row0..row1, j] = dot(a[i, acol0:acol0+k], w row j) * post_scale,
-/// computed in int8 x int8 -> int32 with per-row activation scales chosen on
-/// the fly (symmetric, round-to-nearest) and dequantized through
-/// a_scale * w.scales[j]. `out` must have w.rows columns; rows outside
-/// [row0, row1) are untouched; row1 = -1 means a.rows(). Row r of the output
-/// depends only on row r of `a` (and the weights), so single-row recomputes
-/// (the slide cache) match full fills exactly.
-void Int8GemmKernel(const Tensor& a, int acol0, int k, const QuantizedWeight& w,
-                    int row0, Tensor* out, float post_scale = 1.0f,
-                    int row1 = -1);
-
 // ---- Relaxed (vectorized-tier) kernel bodies -------------------------------
 //
 // Called by the infer.cc kernels when the ambient tier is not kReference.
@@ -112,8 +65,10 @@ namespace fast {
 
 /// Polynomial expf (Cephes-style range reduction, degree-5 minimax), the
 /// scalar twin of the 8-lane AVX2 body the softmax uses. |rel err| < 3e-7
-/// over the softmax's operating range (inputs <= 0). Exposed for the error
-/// bound tests.
+/// over the softmax's operating range (inputs <= 0). Inputs below the
+/// smallest normal result's exponent (the -1e9 attention mask) return
+/// exactly 0, so masked softmax entries never go subnormal. Exposed for the
+/// error bound tests.
 float Exp(float x);
 
 void MatMulSlice(const Tensor& a, int acol0, int k, const Tensor& b, int row0,
@@ -141,16 +96,6 @@ void BatchedAttnHead(const Tensor& qkv, int num_windows, int L,
                      Tensor* scores, Tensor* concat);
 
 }  // namespace fast
-
-namespace internal {
-/// Quantization observability (relaxed atomics; reset-free process totals).
-double QuantWeightMaxAbsErr();
-double QuantActMaxAbsErr();
-uint64_t Int8GemmRowsTotal();
-/// Monotonic max-update of the weight-quantization error watermark; called
-/// by QuantizeWeightRows and the tests.
-void NoteQuantWeightError(float max_abs_err);
-}  // namespace internal
 
 }  // namespace ucad::nn
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -69,6 +70,12 @@ RequestLine ParseRequestLine(const std::string& request) {
   }
   if (line.path.empty() || line.path[0] != '/') return RequestLine{};
   return line;
+}
+
+/// The served routes. obs/http_requests_total labels any other path as
+/// "other", so clients probing arbitrary paths cannot grow the registry.
+bool IsRoute(const std::string& path) {
+  return path == "/metrics" || path == "/healthz" || path == "/history";
 }
 
 /// Splits "/history?ticks=60&prefix=canary/" into the bare path and its
@@ -168,6 +175,12 @@ void MetricsHttpServer::AcceptLoop() {
       // error): exit the thread either way.
       return;
     }
+    // Bounds how long one silent or stalled client can hold this thread.
+    timeval timeout{};
+    timeout.tv_sec = kIoTimeoutMs / 1000;
+    timeout.tv_usec = (kIoTimeoutMs % 1000) * 1000;
+    ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(client, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
     HandleConnection(client);
     ::close(client);
   }
@@ -186,7 +199,9 @@ void MetricsHttpServer::HandleConnection(int client_fd) {
       SplitQuery(line.path, &history_ticks, &history_prefix);
   requests_.fetch_add(1);
   if (MetricsEnabled()) {
-    registry_->GetCounter("obs/http_requests_total", {{"path", path}})
+    registry_
+        ->GetCounter("obs/http_requests_total",
+                     {{"path", IsRoute(path) ? path : "other"}})
         ->Increment();
   }
   if (line.method.empty()) {

@@ -61,6 +61,11 @@ class MetricsHttpServer {
   /// called by the destructor.
   void Stop();
 
+  /// Receive/send timeout on every accepted connection: a client that
+  /// connects and sends nothing (or stops reading) holds the single accept
+  /// thread for at most this long before its connection is dropped.
+  static constexpr int kIoTimeoutMs = 2000;
+
   bool serving() const { return listen_fd_.load() >= 0; }
   /// The bound port (resolved after Start; 0 when not serving).
   int port() const { return port_; }

@@ -100,32 +100,17 @@ struct DetectorOptions {
   /// mode reproduces the paper's per-operation "preceding sequence" scoring
   /// exactly.
   bool batched = true;
-  /// Run forward passes through the recording autograd tape instead of the
-  /// tape-free nn/infer engine. Both produce bitwise-identical logits
-  /// (docs/INFERENCE.md); the tape engine exists as the reference
-  /// implementation and costs graph recording + per-node allocation on
-  /// every window.
-  bool use_tape_engine = false;
-  /// When > 1 (and the fused engine is in use), batched DetectSession spans
-  /// are packed up to `batch_windows` at a time into multi-window GEMMs
-  /// (ForwardInferenceBatched); DetectSessions() additionally packs spans
-  /// across sessions. Verdicts are identical to the from-scratch path
-  /// (docs/INFERENCE.md "Incremental & batched scoring"). 0/1 keeps the
-  /// per-window PR 5 fused path.
+  /// When > 1, session scoring packs its window spans up to
+  /// `batch_windows` at a time into multi-window GEMMs
+  /// (ForwardInferenceBatched), and DetectSessions() packs spans across
+  /// sessions. Verdicts match the per-window path — bitwise under
+  /// kReference (docs/INFERENCE.md "Batched scoring"). 0/1 runs one forward
+  /// per window.
   int batch_windows = 0;
-  /// Reuse per-position embedding + block-0 Q|K|V rows across consecutive
-  /// window slides in ScoreNextOperation via the context's WindowSlideCache.
-  /// Only effective when the model has no position embedding
-  /// (SupportsSlideCache()); verdicts and logits stay bitwise identical to
-  /// the from-scratch path.
-  bool incremental = false;
   /// Kernel tier of the inference engine (docs/INFERENCE.md "Kernel
   /// tiers"). kReference (default) keeps the bitwise tape-parity contract;
   /// kVectorized runs the runtime-dispatched relaxed SIMD kernels
-  /// (verdict-identity contract); kInt8 additionally quantizes the packed
-  /// Q|K|V and all-key-logits GEMM weights to int8 with per-row scales.
-  /// Ignored (always reference) when use_tape_engine is set. Composes with
-  /// batched / batch_windows / incremental.
+  /// (verdict-identity contract). Composes with batched / batch_windows.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
 };
 

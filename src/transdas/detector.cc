@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "nn/infer.h"
-#include "nn/tape.h"
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
@@ -48,15 +47,22 @@ int Sanitize(int key, int vocab) { return key >= 0 && key < vocab ? key : 0; }
 
 }  // namespace
 
-std::vector<int> TransDasDetector::BuildWindow(const std::vector<int>& keys,
-                                               int count) const {
+void TransDasDetector::AppendWindow(const std::vector<int>& keys, int count,
+                                    std::vector<int>* out) const {
   const int L = model_->config().window;
   const int vocab = model_->config().vocab_size;
-  std::vector<int> window(L, 0);
   const int take = std::min(L, count);
-  for (int i = 0; i < take; ++i) {
-    window[L - take + i] = Sanitize(keys[count - take + i], vocab);
+  out->insert(out->end(), static_cast<size_t>(L - take), 0);
+  for (int i = count - take; i < count; ++i) {
+    out->push_back(Sanitize(keys[i], vocab));
   }
+}
+
+std::vector<int> TransDasDetector::BuildWindow(const std::vector<int>& keys,
+                                               int count) const {
+  std::vector<int> window;
+  window.reserve(static_cast<size_t>(model_->config().window));
+  AppendWindow(keys, count, &window);
   return window;
 }
 
@@ -80,19 +86,7 @@ void TransDasDetector::ReleaseContext(
 
 void TransDasDetector::WithWindowLogits(
     const std::vector<int>& input, int rows_from,
-    const std::function<void(const nn::Tensor&)>& fn, bool slide) const {
-  if (options_.use_tape_engine) {
-    nn::Tape tape;
-    obs::FlightStageBoundary(obs::FlightStage::kContextAcquire);
-    nn::VarId outputs =
-        model_->Forward(&tape, input, /*training=*/false, nullptr);
-    nn::VarId logits = model_->AllKeyLogits(&tape, outputs);
-    // The tape engine has no per-stage hooks: the whole graph build +
-    // forward lands in the logits stage of the flight trace.
-    obs::FlightStageBoundary(obs::FlightStage::kLogits);
-    fn(tape.value(logits));
-    return;
-  }
+    const std::function<void(const nn::Tensor&)>& fn) const {
   // The tier scope lives here — the per-thread forward site — rather than
   // at DetectSession entry: session-level fan-out runs on pool threads
   // whose ambient tier would otherwise stay kReference.
@@ -100,7 +94,7 @@ void TransDasDetector::WithWindowLogits(
   std::unique_ptr<nn::InferenceContext> ctx = AcquireContext();
   obs::FlightStageBoundary(obs::FlightStage::kContextAcquire);
   const nn::Tensor& outputs =
-      model_->ForwardInference(ctx.get(), input, rows_from, slide);
+      model_->ForwardInference(ctx.get(), input, rows_from);
   fn(model_->AllKeyLogitsInference(ctx.get(), outputs, rows_from));
   ReleaseContext(std::move(ctx));
 }
@@ -119,15 +113,9 @@ OperationVerdict TransDasDetector::ScoreNextOperation(
   // The last output position carries the contextual intent of the next
   // operation (§5.3); the inference engine only computes that row's tail.
   OperationVerdict op;
-  // Incremental streaming: consecutive calls for the same session slide the
-  // window by one, so the context's slide cache reuses L-1 of the embedding
-  // and block-0 projection rows (keyed by the sanitized window itself —
-  // interleaved sessions through the pool can only miss, never corrupt).
-  const bool slide = options_.incremental && !options_.use_tape_engine;
-  this->WithWindowLogits(
-      window, /*rows_from=*/L - 1,
-      [&](const nn::Tensor& logits) { ScoreKey(logits, L - 1, next_key, &op); },
-      slide);
+  WithWindowLogits(window, /*rows_from=*/L - 1, [&](const nn::Tensor& logits) {
+    ScoreKey(logits, L - 1, next_key, &op);
+  });
   obs::FlightEnd(op.rank, op.score, op.margin, op.abnormal);
   return op;
 }
@@ -272,157 +260,144 @@ void RecordDetectMetrics(const SessionVerdict& verdict, double setup_ms,
 
 SessionVerdict TransDasDetector::DetectSession(
     const std::vector<int>& keys) const {
-  return DetectSessionImpl(keys, /*shadow=*/false);
+  UCAD_TRACE_SPAN("detector/session");
+  const std::vector<int>* session = &keys;
+  return std::move(Detect({&session, 1}, /*shadow=*/false)[0]);
 }
 
 SessionVerdict TransDasDetector::ShadowDetectSession(
     const std::vector<int>& keys) const {
-  return DetectSessionImpl(keys, /*shadow=*/true);
+  UCAD_TRACE_SPAN("detector/session");
+  const std::vector<int>* session = &keys;
+  return std::move(Detect({&session, 1}, /*shadow=*/true)[0]);
 }
 
-SessionVerdict TransDasDetector::DetectSessionImpl(
-    const std::vector<int>& keys, bool shadow) const {
-  UCAD_TRACE_SPAN("detector/session");
+std::vector<SessionVerdict> TransDasDetector::DetectSessions(
+    const std::vector<std::vector<int>>& sessions) const {
+  UCAD_TRACE_SPAN("detector/sessions");
+  std::vector<const std::vector<int>*> refs;
+  refs.reserve(sessions.size());
+  for (const std::vector<int>& keys : sessions) refs.push_back(&keys);
+  return Detect(refs, /*shadow=*/false);
+}
+
+std::vector<SessionVerdict> TransDasDetector::Detect(
+    std::span<const std::vector<int>* const> sessions, bool shadow) const {
   // Shadow runs score identically but never flush RecordDetectMetrics:
   // canary probes must not move the cumulative counters, the anomaly rate,
   // or the PSI drift reference that real traffic is judged against.
   const bool metrics = obs::MetricsEnabled() && !shadow;
   util::Timer timer;
-  SessionVerdict verdict;
-  if (keys.size() < 2) return verdict;
-  const int L = model_->config().window;
-  const int n = static_cast<int>(keys.size());
-
-  if (!options_.batched) {
-    // Each position's score depends only on the (read-only) model and the
-    // session prefix, so positions fan out across the pool; every lane
-    // writes its own preallocated verdict slot.
-    verdict.operations.resize(n - 1);
-    const double setup_ms = timer.ElapsedMillis();
-    util::ParallelFor(1, n, /*grain=*/1, [this, &keys, &verdict](
-                                             int64_t t0, int64_t t1) {
-      for (int64_t t = t0; t < t1; ++t) {
-        std::vector<int> preceding(keys.begin(), keys.begin() + t);
-        OperationVerdict op =
-            ScoreNextOperation(preceding, keys[static_cast<size_t>(t)]);
-        op.position = static_cast<int>(t);
-        verdict.operations[t - 1] = op;
-      }
-    });
-    for (const OperationVerdict& op : verdict.operations) {
+  std::vector<SessionVerdict> verdicts(sessions.size());
+  // One span plan in input order: each session contributes its own span
+  // sequence, so chunking may pack clamped tails of neighboring sessions
+  // into one batch.
+  std::vector<Span> spans;
+  int scored_sessions = 0;
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    const size_t n = sessions[s]->size();
+    if (n < 2) continue;  // no scorable operation: empty verdict, no metrics
+    ++scored_sessions;
+    verdicts[s].operations.resize(n - 1);
+    AppendSpans(sessions[s], &verdicts[s].operations, &spans);
+  }
+  const double setup_ms = timer.ElapsedMillis();
+  // Spans own disjoint verdict slots, so chunks fan out across the pool
+  // with each lane writing its own slots. Chunk boundaries are a pure
+  // function of the span list, and batching never changes a computed
+  // logits row, so verdicts match the serial per-window walk at any thread
+  // count and any batch_windows.
+  const int chunk = std::max(1, options_.batch_windows);
+  const int64_t num_spans = static_cast<int64_t>(spans.size());
+  util::ParallelFor(
+      0, (num_spans + chunk - 1) / chunk, /*grain=*/1,
+      [this, &spans, chunk, num_spans](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          const int64_t start = c * chunk;
+          if (chunk == 1) {
+            ScoreSpan(spans[start]);
+            continue;
+          }
+          const int count =
+              static_cast<int>(std::min<int64_t>(chunk, num_spans - start));
+          std::unique_ptr<nn::InferenceContext> ctx = AcquireContext();
+          ScoreSpanBatch(ctx.get(), spans.data() + start, count, chunk);
+          ReleaseContext(std::move(ctx));
+        }
+      });
+  const double score_ms = timer.ElapsedMillis() - setup_ms;
+  for (SessionVerdict& v : verdicts) {
+    for (const OperationVerdict& op : v.operations) {
       if (op.abnormal) {
-        verdict.abnormal = true;
+        v.abnormal = true;
         break;
       }
     }
-    if (metrics) {
-      RecordDetectMetrics(verdict, setup_ms,
-                          timer.ElapsedMillis() - setup_ms);
-    }
-    return verdict;
   }
-
-  // Batched mode: one forward pass scores a window of L consecutive
-  // operations (output position i carries the intent of input position
-  // i+1, exactly the training alignment). Windows advance by L.
-  const int vocab = model_->config().vocab_size;
-  std::vector<int> padded(L, 0);  // L leading pads so op 1..L-1 get context
-  padded.reserve(L + keys.size());
-  for (int key : keys) padded.push_back(Sanitize(key, vocab));
-  verdict.operations.resize(n - 1);
-  std::vector<BatchSpan> spans;
-  AppendSpans(&padded, &keys, &verdict.operations, n, L, &spans);
-  const double setup_ms = timer.ElapsedMillis();
-  const int bw = options_.batch_windows;
-  if (bw > 1 && !options_.use_tape_engine) {
-    // Multi-window tier: pack up to batch_windows spans per forward. Chunk
-    // boundaries are a pure function of the span list, and batching never
-    // changes a computed logits row, so verdicts match the per-window walk
-    // at any thread count.
-    const int64_t chunks = (static_cast<int64_t>(spans.size()) + bw - 1) / bw;
-    util::ParallelFor(0, chunks, /*grain=*/1,
-                      [this, &spans, bw](int64_t c0, int64_t c1) {
-                        for (int64_t c = c0; c < c1; ++c) {
-                          const int start = static_cast<int>(c) * bw;
-                          const int count = std::min(
-                              bw, static_cast<int>(spans.size()) - start);
-                          std::unique_ptr<nn::InferenceContext> ctx =
-                              AcquireContext();
-                          ScoreSpanBatch(ctx.get(), spans.data() + start, count,
-                                         bw);
-                          ReleaseContext(std::move(ctx));
-                        }
-                      });
-  } else {
-    // The spans own disjoint position ranges, so the forward passes fan out
-    // across the pool with each lane writing disjoint verdict slots. The
-    // window placement is fixed by (n, L) alone — thread count never changes
-    // which window scores a position, so verdicts match the serial walk.
-    util::ParallelFor(
-        0, static_cast<int64_t>(spans.size()), /*grain=*/1,
-        [this, &spans, &padded, &keys, L, n](int64_t b0, int64_t b1) {
-          for (int64_t b = b0; b < b1; ++b) {
-            const BatchSpan& span = spans[b];
-            obs::FlightBegin(span.lo);
-            std::vector<int> input(padded.begin() + span.w,
-                                   padded.begin() + span.w + L);
-            // Output row i scores session position w + i + 1 - L, so the
-            // rows this span owns are the contiguous tail starting at lo's
-            // row; clamped tail windows (and short sessions) skip the
-            // re-derived prefix entirely in the inference engine.
-            const int rows_from = span.lo + L - 1 - span.w;
-            // The flight trace summarizes the window by its worst-ranked
-            // operation (the one an investigator drills into first).
-            OperationVerdict worst;
-            worst.rank = -1;
-            bool any_abnormal = false;
-            WithWindowLogits(input, rows_from, [&](const nn::Tensor& scores) {
-              for (int i = 0; i < L; ++i) {
-                const int session_pos = span.w + i + 1 - L;
-                if (session_pos < span.lo || session_pos >= n) continue;
-                OperationVerdict op;
-                op.position = session_pos;
-                ScoreKey(scores, i, keys[session_pos], &op);
-                if (op.abnormal) any_abnormal = true;
-                if (op.rank > worst.rank) worst = op;
-                (*span.ops)[session_pos - 1] = op;
-              }
-            });
-            obs::FlightEnd(worst.rank, worst.score, worst.margin,
-                           any_abnormal);
-          }
-        });
-  }
-  for (const OperationVerdict& op : verdict.operations) {
-    if (op.abnormal) {
-      verdict.abnormal = true;
-      break;
+  if (metrics && scored_sessions > 0) {
+    // The call shares one setup + one scoring sweep; amortize both evenly
+    // so per-session histograms and the drift monitor keep their meaning.
+    const double su = setup_ms / scored_sessions;
+    const double sc = score_ms / scored_sessions;
+    for (size_t s = 0; s < sessions.size(); ++s) {
+      if (sessions[s]->size() < 2) continue;
+      RecordDetectMetrics(verdicts[s], su, sc);
     }
   }
-  if (metrics) {
-    RecordDetectMetrics(verdict, setup_ms, timer.ElapsedMillis() - setup_ms);
-  }
-  return verdict;
+  return verdicts;
 }
 
-void TransDasDetector::AppendSpans(const std::vector<int>* padded,
-                                   const std::vector<int>* keys,
-                                   std::vector<OperationVerdict>* ops, int n,
-                                   int L, std::vector<BatchSpan>* out) {
-  // Window ending at padded index w scores session positions [lo, w]
-  // (targets padded[w+1..w+L]). Advance so every position in [1, n) is
-  // owned by exactly one window; the tail window is clamped inside the
-  // sequence and simply re-derives — but does not own — earlier positions.
-  int next = 1;
-  while (next < n) {
-    const int w = std::min(next + L - 1, n - 1);
-    out->push_back(BatchSpan{padded, keys, ops, w, next, n});
+void TransDasDetector::AppendSpans(const std::vector<int>* keys,
+                                   std::vector<OperationVerdict>* ops,
+                                   std::vector<Span>* out) const {
+  // Advance so every position in [1, n) is owned by exactly one window.
+  const int n = static_cast<int>(keys->size());
+  const int stride = options_.batched ? model_->config().window : 1;
+  for (int next = 1; next < n;) {
+    const int w = std::min(next + stride - 1, n - 1);
+    out->push_back(Span{keys, ops, w, next});
     next = w + 1;
   }
 }
 
+int TransDasDetector::RowsFrom(const Span& span) const {
+  return span.lo + model_->config().window - 1 - span.w;
+}
+
+void TransDasDetector::ScoreOwnedRows(const nn::Tensor& logits, int row0,
+                                      const Span& span,
+                                      OperationVerdict* worst) const {
+  const int L = model_->config().window;
+  for (int i = RowsFrom(span); i < L; ++i) {
+    OperationVerdict op;
+    op.position = span.w + i + 1 - L;
+    ScoreKey(logits, row0 + i, (*span.keys)[op.position], &op);
+    // Abnormal is monotone in rank, so the worst-ranked verdict is
+    // abnormal exactly when any owned verdict is.
+    if (op.rank > worst->rank) *worst = op;
+    (*span.ops)[op.position - 1] = op;
+  }
+}
+
+void TransDasDetector::ScoreSpan(const Span& span) const {
+  obs::FlightBegin(span.lo);
+  // Output row i scores session position w + i + 1 - L, so the rows this
+  // span owns are the contiguous tail from RowsFrom(span); clamped tail
+  // windows, short sessions and per-op windows skip the re-derived prefix
+  // entirely in the inference engine. The flight trace summarizes the
+  // window by its worst-ranked operation (the one an investigator drills
+  // into first).
+  OperationVerdict worst;
+  worst.rank = -1;
+  WithWindowLogits(BuildWindow(*span.keys, span.w), RowsFrom(span),
+                   [&](const nn::Tensor& logits) {
+                     ScoreOwnedRows(logits, 0, span, &worst);
+                   });
+  obs::FlightEnd(worst.rank, worst.score, worst.margin, worst.abnormal);
+}
+
 void TransDasDetector::ScoreSpanBatch(nn::InferenceContext* ctx,
-                                      const BatchSpan* spans, int count,
+                                      const Span* spans, int count,
                                       int capacity) const {
   const int L = model_->config().window;
   nn::ScopedKernelTier tier_scope(options_.kernel_tier);
@@ -431,10 +406,8 @@ void TransDasDetector::ScoreSpanBatch(nn::InferenceContext* ctx,
   input.reserve(static_cast<size_t>(count) * L);
   std::vector<int> rows_from(count);
   for (int b = 0; b < count; ++b) {
-    const BatchSpan& s = spans[b];
-    input.insert(input.end(), s.padded->begin() + s.w,
-                 s.padded->begin() + s.w + L);
-    rows_from[b] = s.lo + L - 1 - s.w;
+    AppendWindow(*spans[b].keys, spans[b].w, &input);
+    rows_from[b] = RowsFrom(spans[b]);
   }
   obs::FlightStageBoundary(obs::FlightStage::kContextAcquire);
   const nn::Tensor& outputs =
@@ -446,92 +419,10 @@ void TransDasDetector::ScoreSpanBatch(nn::InferenceContext* ctx,
   // verdict; spans write disjoint slots of their sessions' verdict arrays.
   OperationVerdict worst;
   worst.rank = -1;
-  bool any_abnormal = false;
   for (int b = 0; b < count; ++b) {
-    const BatchSpan& s = spans[b];
-    for (int i = rows_from[b]; i < L; ++i) {
-      const int session_pos = s.w + i + 1 - L;
-      if (session_pos < s.lo || session_pos >= s.n) continue;
-      OperationVerdict op;
-      op.position = session_pos;
-      ScoreKey(logits, b * L + i, (*s.keys)[session_pos], &op);
-      if (op.abnormal) any_abnormal = true;
-      if (op.rank > worst.rank) worst = op;
-      (*s.ops)[session_pos - 1] = op;
-    }
+    ScoreOwnedRows(logits, b * L, spans[b], &worst);
   }
-  obs::FlightEnd(worst.rank, worst.score, worst.margin, any_abnormal);
-}
-
-std::vector<SessionVerdict> TransDasDetector::DetectSessions(
-    const std::vector<std::vector<int>>& sessions) const {
-  std::vector<SessionVerdict> verdicts(sessions.size());
-  const int bw = options_.batch_windows;
-  if (!options_.batched || bw <= 1 || options_.use_tape_engine) {
-    for (size_t s = 0; s < sessions.size(); ++s) {
-      verdicts[s] = DetectSessionImpl(sessions[s], /*shadow=*/false);
-    }
-    return verdicts;
-  }
-  UCAD_TRACE_SPAN("detector/sessions");
-  const bool metrics = obs::MetricsEnabled();
-  util::Timer timer;
-  const int L = model_->config().window;
-  const int vocab = model_->config().vocab_size;
-  // Global span plan in input order: each session contributes its own
-  // DetectSession span sequence (same placement, so per-position verdicts
-  // are owned by the same windows), and chunking packs spans across session
-  // boundaries so clamped tails share batches with their neighbors.
-  std::vector<std::vector<int>> padded(sessions.size());
-  std::vector<BatchSpan> spans;
-  int scored_sessions = 0;
-  for (size_t s = 0; s < sessions.size(); ++s) {
-    const std::vector<int>& keys = sessions[s];
-    const int n = static_cast<int>(keys.size());
-    if (n < 2) continue;  // no scorable operation; empty verdict, no metrics
-    ++scored_sessions;
-    std::vector<int>& pad = padded[s];
-    pad.assign(L, 0);
-    pad.reserve(static_cast<size_t>(L) + keys.size());
-    for (int key : keys) pad.push_back(Sanitize(key, vocab));
-    verdicts[s].operations.resize(n - 1);
-    AppendSpans(&pad, &keys, &verdicts[s].operations, n, L, &spans);
-  }
-  const double setup_ms = timer.ElapsedMillis();
-  const int64_t chunks = (static_cast<int64_t>(spans.size()) + bw - 1) / bw;
-  util::ParallelFor(0, chunks, /*grain=*/1,
-                    [this, &spans, bw](int64_t c0, int64_t c1) {
-                      for (int64_t c = c0; c < c1; ++c) {
-                        const int start = static_cast<int>(c) * bw;
-                        const int count = std::min(
-                            bw, static_cast<int>(spans.size()) - start);
-                        std::unique_ptr<nn::InferenceContext> ctx =
-                            AcquireContext();
-                        ScoreSpanBatch(ctx.get(), spans.data() + start, count,
-                                       bw);
-                        ReleaseContext(std::move(ctx));
-                      }
-                    });
-  const double score_ms = timer.ElapsedMillis() - setup_ms;
-  for (SessionVerdict& v : verdicts) {
-    for (const OperationVerdict& op : v.operations) {
-      if (op.abnormal) {
-        v.abnormal = true;
-        break;
-      }
-    }
-  }
-  if (metrics && scored_sessions > 0) {
-    // The batch shares one setup + one scoring sweep; amortize both evenly
-    // so per-session histograms and the drift monitor keep their meaning.
-    const double su = setup_ms / scored_sessions;
-    const double sc = score_ms / scored_sessions;
-    for (size_t s = 0; s < sessions.size(); ++s) {
-      if (sessions[s].size() < 2) continue;
-      RecordDetectMetrics(verdicts[s], su, sc);
-    }
-  }
-  return verdicts;
+  obs::FlightEnd(worst.rank, worst.score, worst.margin, worst.abnormal);
 }
 
 }  // namespace ucad::transdas

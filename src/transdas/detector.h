@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "nn/infer.h"
@@ -56,7 +57,7 @@ class TransDasDetector {
 
   /// Scores a full session in SHADOW mode: the identical code path and
   /// bitwise-identical verdicts as DetectSession (same pooled contexts,
-  /// same window planning, same parallel fan-out), but with the detector's
+  /// same span planning, same parallel fan-out), but with the detector's
   /// cumulative observability suppressed — no detector/* counters or
   /// latency observations, no anomaly_rate update, and nothing fed to the
   /// DetectionMonitor's quantiles or PSI drift reference. The canary probe
@@ -65,17 +66,16 @@ class TransDasDetector {
   /// tracing, a sampled debugging ring rather than a statistic, stays on.)
   SessionVerdict ShadowDetectSession(const std::vector<int>& keys) const;
 
-  /// Scores many sessions as one cross-session stream of window spans.
-  /// With options().batched, batch_windows > 1, and the fused engine, the
-  /// spans of ALL sessions are packed — in input order — into multi-window
-  /// batches of up to batch_windows, so partially filled tail windows of
-  /// short sessions share GEMMs with their neighbors instead of wasting a
-  /// pass each. Verdicts are element-identical to calling DetectSession on
-  /// each session (the span plan is a pure function of each session's
-  /// length, and batching never changes a computed row — see
-  /// docs/INFERENCE.md). Otherwise falls back to per-session DetectSession.
-  /// Per-session metrics are still flushed, with the shared setup/score
-  /// latency amortized evenly over the scored sessions.
+  /// Scores many sessions as one cross-session stream of window spans: the
+  /// spans of ALL sessions fan out across the pool together and, with
+  /// batch_windows > 1, are packed — in input order — into multi-window
+  /// batches, so partially filled tail windows of short sessions share
+  /// GEMMs with their neighbors. Verdicts are element-identical to calling
+  /// DetectSession on each session (the span plan is a pure function of
+  /// each session's length, and batching never changes a computed row —
+  /// see docs/INFERENCE.md). Per-session metrics are still flushed, with
+  /// the shared setup/score latency amortized evenly over the scored
+  /// sessions.
   std::vector<SessionVerdict> DetectSessions(
       const std::vector<std::vector<int>>& sessions) const;
 
@@ -86,8 +86,8 @@ class TransDasDetector {
 
   /// Streaming formulation with the full verdict: rank, similarity score,
   /// and margin to the top-p cutoff, all from one forward pass. `position`
-  /// is left at 0 (the caller knows it). Agrees verdict-for-verdict with
-  /// non-batched DetectSession.
+  /// is left at 0 (the caller knows it). Agrees bitwise with non-batched
+  /// DetectSession (the same window and output row).
   OperationVerdict ScoreNextOperation(const std::vector<int>& preceding,
                                       int next_key) const;
 
@@ -133,73 +133,85 @@ class TransDasDetector {
   /// window positions the final block attended to when predicting the
   /// contextual intent (captured from the same forward that re-derives
   /// the verdict — no extra pass), and how the verdict shifts when each
-  /// top-attributed context operation is masked out. Runs on the tape-free
-  /// engine regardless of options().use_tape_engine (the engines agree
-  /// bitwise, and only nn/infer exposes the attribution hook). Off the
-  /// detection hot path: call it for abnormal/promoted windows only.
+  /// top-attributed context operation is masked out. Off the detection hot
+  /// path: call it for abnormal/promoted windows only.
   VerdictAttribution AttributeOperation(const std::vector<int>& keys,
                                         int position, int top_k = 5) const;
 
   const DetectorOptions& options() const { return options_; }
 
  private:
-  /// Shared body of DetectSession and ShadowDetectSession; `shadow` only
-  /// gates the end-of-session metrics flush, never the scoring itself.
-  SessionVerdict DetectSessionImpl(const std::vector<int>& keys,
-                                   bool shadow) const;
-
-  /// Fills rank/score/margin/abnormal of `op` from one row of all-key
-  /// logits — delegates to nn::ScoreLogitsRow, the single-pass source of
-  /// truth shared by both detection modes and the audit log.
-  void ScoreKey(const nn::Tensor& logits, int row, int key,
-                OperationVerdict* op) const;
-
-  /// Right-aligned detection window: the last min(L, count) keys of
-  /// keys[0..count), sanitized, with k0 left-padding.
-  std::vector<int> BuildWindow(const std::vector<int>& keys, int count) const;
-
-  /// Runs one L-key window through the configured engine and hands the
-  /// [L x vocab] all-key logits to `fn` (valid only during the call). The
-  /// single forward+logits site shared by the streaming scorer, the
-  /// explainer, and batched session detection: the autograd tape when
-  /// options_.use_tape_engine, the tape-free nn/infer engine otherwise.
-  /// `fn` must only read logits rows >= rows_from — the inference engine
-  /// skips the final block's row-wise tail below that row (the tape engine
-  /// always computes the full window, so the rows it hands over agree
-  /// bitwise either way). `slide` forwards to ForwardInference's
-  /// WindowSlideCache (ignored by the tape engine and by models without
-  /// slide-cache support).
-  void WithWindowLogits(const std::vector<int>& input, int rows_from,
-                        const std::function<void(const nn::Tensor&)>& fn,
-                        bool slide = false) const;
-
-  /// One window span of the batched formulation: the window is
-  /// padded[w .. w+L-1], it owns session positions [lo, w], and writes its
-  /// verdicts into `ops` (sized n-1 for a session of n keys). The pointers
-  /// alias the caller's storage for the duration of a DetectSession(s) call.
-  struct BatchSpan {
-    const std::vector<int>* padded;
+  /// One scoring window of a session: the window holds the L keys before
+  /// session position w (BuildWindow(keys, w)), its output row i predicts
+  /// position w + i + 1 - L, and it owns — writes the verdicts of —
+  /// positions [lo, w] into `ops` (sized n-1 for a session of n keys). The
+  /// pointers alias the caller's storage for the duration of one Detect
+  /// call.
+  struct Span {
     const std::vector<int>* keys;
     std::vector<OperationVerdict>* ops;
     int w = 0;
     int lo = 0;
-    int n = 0;
   };
 
-  /// Plans the batched window spans of one padded session (the same plan
-  /// DetectSession's batched mode walks: advance by L, clamp the tail) and
-  /// appends them to `out`. Pure function of (n, L) — neither thread count
-  /// nor batch packing changes which window owns a position.
-  static void AppendSpans(const std::vector<int>* padded,
-                          const std::vector<int>* keys,
-                          std::vector<OperationVerdict>* ops, int n, int L,
-                          std::vector<BatchSpan>* out);
+  /// The single body of DetectSession, ShadowDetectSession and
+  /// DetectSessions: plans every session's spans (AppendSpans), then scores
+  /// them in one ParallelFor over chunks of batch_windows spans (one span
+  /// per chunk unless batch_windows > 1). `shadow` only gates the
+  /// end-of-session metrics flush, never the scoring itself.
+  std::vector<SessionVerdict> Detect(
+      std::span<const std::vector<int>* const> sessions, bool shadow) const;
+
+  /// Appends the spans of one session of n keys to `out`. Batched mode
+  /// advances windows by L (every output row scores one position, the
+  /// training alignment; the tail window is clamped inside the session and
+  /// re-derives, but does not own, earlier positions); per-op mode owns one
+  /// position per window, scored from its preceding keys only (the paper's
+  /// streaming formulation). A pure function of (n, L, batched): neither
+  /// thread count nor batch packing changes which window owns a position.
+  void AppendSpans(const std::vector<int>* keys,
+                   std::vector<OperationVerdict>* ops,
+                   std::vector<Span>* out) const;
+
+  /// First window row `span` owns: the row that predicts position lo.
+  int RowsFrom(const Span& span) const;
+
+  /// Scores the positions `span` owns from its window's logits (window row
+  /// i at logits row row0 + i) into the span's verdict slots, and keeps the
+  /// worst-ranked verdict in `worst` for the flight trace.
+  void ScoreOwnedRows(const nn::Tensor& logits, int row0, const Span& span,
+                      OperationVerdict* worst) const;
+
+  /// Scores one span through a per-window forward (one flight trace,
+  /// summarized by the span's worst verdict).
+  void ScoreSpan(const Span& span) const;
 
   /// Scores `count` spans as one multi-window batch on `ctx` (capacity
   /// fixes the workspace shapes so partial batches reuse the same slots);
   /// one flight trace covers the batch, summarized by its worst verdict.
-  void ScoreSpanBatch(nn::InferenceContext* ctx, const BatchSpan* spans,
-                      int count, int capacity) const;
+  void ScoreSpanBatch(nn::InferenceContext* ctx, const Span* spans, int count,
+                      int capacity) const;
+
+  /// Fills rank/score/margin/abnormal of `op` from one row of all-key
+  /// logits — delegates to nn::ScoreLogitsRow, the single-pass source of
+  /// truth shared by every detection mode and the audit log.
+  void ScoreKey(const nn::Tensor& logits, int row, int key,
+                OperationVerdict* op) const;
+
+  /// Right-aligned detection window: the last min(L, count) keys of
+  /// keys[0..count), sanitized, with k0 left-padding, appended to `out`.
+  void AppendWindow(const std::vector<int>& keys, int count,
+                    std::vector<int>* out) const;
+  std::vector<int> BuildWindow(const std::vector<int>& keys, int count) const;
+
+  /// Runs one L-key window through the inference engine on a pooled
+  /// context and hands the [L x vocab] all-key logits to `fn` (valid only
+  /// during the call). The single-window forward+logits site shared by the
+  /// streaming scorer, the explainer, and span scoring. `fn` must only read
+  /// logits rows >= rows_from — the engine skips the final block's
+  /// row-wise tail below that row.
+  void WithWindowLogits(const std::vector<int>& input, int rows_from,
+                        const std::function<void(const nn::Tensor&)>& fn) const;
 
   std::unique_ptr<nn::InferenceContext> AcquireContext() const;
   void ReleaseContext(std::unique_ptr<nn::InferenceContext> ctx) const;

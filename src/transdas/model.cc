@@ -175,17 +175,8 @@ const nn::Tensor& TransDasModel::PackedQkv(nn::InferenceContext* ctx,
       });
 }
 
-const nn::QuantizedWeight& TransDasModel::QuantizedPackedQkv(
-    nn::InferenceContext* ctx, size_t block_index, uint64_t wv,
-    int packed_cols) {
-  const nn::Tensor& packed = PackedQkv(ctx, block_index, wv, packed_cols);
-  return ctx->CachedQuantWeight(&blocks_[block_index], wv, packed,
-                                /*transpose=*/true);
-}
-
 const nn::Tensor& TransDasModel::ForwardInference(
-    nn::InferenceContext* ctx, const std::vector<int>& window, int rows_from,
-    bool slide) {
+    nn::InferenceContext* ctx, const std::vector<int>& window, int rows_from) {
   UCAD_CHECK_EQ(static_cast<int>(window.size()), config_.window);
   nn::Workspace& ws = ctx->workspace();
   ws.BeginFrame();
@@ -200,79 +191,14 @@ const nn::Tensor& TransDasModel::ForwardInference(
   // a batch's pack and flush can never mix projection versions within the
   // pass — the bump takes effect on the next forward.
   const uint64_t wv = weight_version_;
-  // Like the weight version, the kernel tier is pinned once per forward:
-  // the fused kernels re-read the thread-local themselves, but the int8
-  // GEMM routing below must agree with the tier the slide cache's rows
-  // were produced under within this pass.
-  const nn::KernelTier tier = nn::CurrentKernelTier();
   const int packed_cols = (3 * h + 7) / 8 * 8;
 
-  // The x slot is acquired in slide mode too (untouched), so pooled
-  // contexts alternating between sliding and from-scratch frames keep the
-  // identical slot-shape sequence and never churn the arena.
   nn::Tensor* x = ws.Acquire(L, h);
-  const nn::Tensor* xin = x;
-  const nn::Tensor* qkv0_cached = nullptr;
-  if (slide && SupportsSlideCache()) {
-    ctx->EnsureSlideCacheShapes(L, h, packed_cols);
-    nn::InferenceContext::WindowSlideCache& sc = ctx->slide_cache();
-    const bool keyed = sc.valid && sc.model == this && sc.version == wv;
-    // First row whose embedding/projection must be recomputed: L = exact
-    // revisit (reuse everything), L-1 = one-position slide, 0 = miss.
-    int recompute_from = 0;
-    if (keyed && sc.keys == window) {
-      recompute_from = L;
-    } else if (keyed && std::equal(sc.keys.begin() + 1, sc.keys.end(),
-                                   window.begin())) {
-      // Rows 0..L-2 are the previous window's rows 1..L-1: both cached
-      // tensors are pure per-key row functions, so a row move is exact.
-      std::memmove(sc.embed.row(0), sc.embed.row(1),
-                   static_cast<size_t>(L - 1) * h * sizeof(float));
-      std::memmove(sc.qkv0.row(0), sc.qkv0.row(1),
-                   static_cast<size_t>(L - 1) * packed_cols * sizeof(float));
-      recompute_from = L - 1;
-    }
-    ctx->NoteSlideCache(recompute_from >= L - 1);
-    if (recompute_from < L) {
-      int row0 = 0;
-      if (recompute_from == 0) {
-        nn::GatherRowsKernel(embedding_->table().value(), window, &sc.embed);
-      } else {
-        // Only the newly arrived position: a one-row gather (the same
-        // memcpy GatherRowsKernel performs) + a one-row projection.
-        UCAD_DCHECK(window[L - 1] >= 0 &&
-                    window[L - 1] < embedding_->table().value().rows());
-        std::memcpy(sc.embed.row(L - 1),
-                    embedding_->table().value().row(window[L - 1]),
-                    static_cast<size_t>(h) * sizeof(float));
-        row0 = L - 1;
-      }
-      if (tier == nn::KernelTier::kInt8) {
-        // Output row r of the int8 GEMM depends only on activation row r
-        // (per-row activation quantization), so the one-row recompute is
-        // bitwise-consistent with a full fill — the slide cache's
-        // exactness argument carries over within the tier.
-        nn::Int8GemmKernel(sc.embed, 0, h,
-                           QuantizedPackedQkv(ctx, 0, wv, packed_cols), row0,
-                           &sc.qkv0);
-      } else {
-        nn::MatMulSliceKernel(sc.embed, 0, h,
-                              PackedQkv(ctx, 0, wv, packed_cols), row0,
-                              &sc.qkv0);
-      }
-      sc.keys = window;
-      sc.model = this;
-      sc.version = wv;
-      sc.valid = true;
-    }
-    xin = &sc.embed;
-    qkv0_cached = &sc.qkv0;
-  } else {
-    nn::GatherRowsKernel(embedding_->table().value(), window, x);
-    if (position_embedding_ != nullptr) {
-      x->AddInPlace(position_embedding_->value());
-    }
+  nn::GatherRowsKernel(embedding_->table().value(), window, x);
+  if (position_embedding_ != nullptr) {
+    x->AddInPlace(position_embedding_->value());
   }
+  const nn::Tensor* xin = x;
   obs::FlightStageBoundary(obs::FlightStage::kEmbed);
   for (size_t b = 0; b < blocks_.size(); ++b) {
     Block& block = blocks_[b];
@@ -285,17 +211,7 @@ const nn::Tensor& TransDasModel::ForwardInference(
       on_block_weights_for_test_(static_cast<int>(b), wv);
     }
     nn::Tensor* qkv = ws.Acquire(L, packed_cols);
-    const nn::Tensor* qkv_in = qkv;
-    if (b == 0 && qkv0_cached != nullptr) {
-      // Block-0 projections came from the slide cache; the slot stays
-      // acquired (sequence stability) but untouched.
-      qkv_in = qkv0_cached;
-    } else if (tier == nn::KernelTier::kInt8) {
-      nn::Int8GemmKernel(*xin, 0, h,
-                         QuantizedPackedQkv(ctx, b, wv, packed_cols), 0, qkv);
-    } else {
-      nn::MatMulSliceKernel(*xin, 0, h, packed, 0, qkv);
-    }
+    nn::MatMulSliceKernel(*xin, 0, h, packed, 0, qkv);
     // Multi-head attention with masking, one fused softmax per head; each
     // head's context lands directly in its concat column block.
     nn::Tensor* concat = ws.Acquire(L, h);
@@ -304,11 +220,11 @@ const nn::Tensor& TransDasModel::ForwardInference(
       const int koff = h + hi * head_dim;
       const int voff = 2 * h + hi * head_dim;
       nn::Tensor* kt = ws.Acquire(head_dim, L);
-      nn::TransposeSliceKernel(*qkv_in, koff, head_dim, kt);
+      nn::TransposeSliceKernel(*qkv, koff, head_dim, kt);
       nn::Tensor* scores = ws.Acquire(L, L);
       // Scale folded into the matmul's epilogue pass; the softmax then sees
       // pre-scaled scores (scale = 1 skips its identity pass).
-      nn::MatMulSliceKernel(*qkv_in, qoff, head_dim, *kt, r0, scores, scale);
+      nn::MatMulSliceKernel(*qkv, qoff, head_dim, *kt, r0, scores, scale);
       nn::MaskedSoftmaxKernel(scores, 1.0f, mask_, r0);
       if (b + 1 == blocks_.size() && ctx->attention_capture_row() >= 0) {
         // Attribution hook: hand the armed output row's post-softmax
@@ -318,8 +234,7 @@ const nn::Tensor& TransDasModel::ForwardInference(
         UCAD_DCHECK(cap >= r0 && cap < L);
         ctx->RecordAttentionRow(static_cast<size_t>(hi), scores->row(cap), L);
       }
-      nn::AttnContextKernel(*scores, r0, *qkv_in, voff, head_dim, qoff,
-                            concat);
+      nn::AttnContextKernel(*scores, r0, *qkv, voff, head_dim, qoff, concat);
     }
     nn::Tensor* mh = ws.Acquire(L, h);
     nn::MatMulSliceKernel(*concat, 0, h, block.wo.value(), r0, mh);
@@ -343,7 +258,7 @@ const nn::Tensor& TransDasModel::ForwardInference(
     xin = ln2;
     obs::FlightStageBoundary(obs::FlightStage::kFfn);
   }
-  ctx->NoteForward(tier);
+  ctx->NoteForward(nn::CurrentKernelTier());
   return *xin;
 }
 
@@ -363,7 +278,6 @@ const nn::Tensor& TransDasModel::ForwardInferenceBatched(
   UCAD_DCHECK(ctx->attention_capture_row() < 0);
   const float scale = 1.0f / std::sqrt(static_cast<float>(h));
   const uint64_t wv = weight_version_;
-  const nn::KernelTier tier = nn::CurrentKernelTier();
   const int packed_cols = (3 * h + 7) / 8 * 8;
   const int total = B * L;
   const int cap_rows = capacity * L;
@@ -406,13 +320,7 @@ const nn::Tensor& TransDasModel::ForwardInferenceBatched(
     // arithmetic-intensity win the batcher exists for. Keys/values must
     // cover every row of every window, so no rows_from restriction here.
     nn::Tensor* qkv = ws.Acquire(cap_rows, packed_cols);
-    if (tier == nn::KernelTier::kInt8) {
-      nn::Int8GemmKernel(*xin, 0, h,
-                         QuantizedPackedQkv(ctx, b, wv, packed_cols), 0, qkv,
-                         1.0f, total);
-    } else {
-      nn::MatMulSliceKernel(*xin, 0, h, packed, 0, qkv, 1.0f, total);
-    }
+    nn::MatMulSliceKernel(*xin, 0, h, packed, 0, qkv, 1.0f, total);
     nn::Tensor* concat = ws.Acquire(cap_rows, h);
     for (int hi = 0; hi < m; ++hi) {
       const int qoff = hi * head_dim;
@@ -459,7 +367,7 @@ const nn::Tensor& TransDasModel::ForwardInferenceBatched(
     xin = ln2;
     obs::FlightStageBoundary(obs::FlightStage::kFfn);
   }
-  ctx->NoteForward(tier);
+  ctx->NoteForward(nn::CurrentKernelTier());
   ctx->NoteBatchForward(B, capacity);
   return *xin;
 }
@@ -467,17 +375,6 @@ const nn::Tensor& TransDasModel::ForwardInferenceBatched(
 const nn::Tensor& TransDasModel::AllKeyLogitsInference(
     nn::InferenceContext* ctx, const nn::Tensor& outputs, int rows_from) {
   const nn::Tensor& table = embedding_->table().value();
-  if (nn::CurrentKernelTier() == nn::KernelTier::kInt8) {
-    // The embedding table is already [vocab x h] — exactly the row-major
-    // B^T layout Int8GemmKernel wants — so the int8 tier quantizes it
-    // directly and never materializes the float transpose.
-    const nn::QuantizedWeight& qt = ctx->CachedQuantWeight(
-        &table, weight_version_, table, /*transpose=*/false);
-    nn::Tensor* logits = ctx->workspace().Acquire(outputs.rows(), table.rows());
-    nn::Int8GemmKernel(outputs, 0, outputs.cols(), qt, rows_from, logits);
-    obs::FlightStageBoundary(obs::FlightStage::kLogits);
-    return *logits;
-  }
   // Materialized M^T + the same per-element recipe the tape path's
   // nn::MatMul runs: the tape's MatMulTransposeBAccum shortcut accumulates
   // in double, so going through it here would break bitwise parity. The
@@ -496,18 +393,6 @@ const nn::Tensor& TransDasModel::AllKeyLogitsInferenceBatched(
   const int L = config_.window;
   UCAD_DCHECK(outputs.rows() == capacity * L);
   const nn::Tensor& table = embedding_->table().value();
-  if (nn::CurrentKernelTier() == nn::KernelTier::kInt8) {
-    const nn::QuantizedWeight& qt = ctx->CachedQuantWeight(
-        &table, weight_version_, table, /*transpose=*/false);
-    nn::Tensor* logits =
-        ctx->batch_workspace().Acquire(outputs.rows(), table.rows());
-    for (const auto& [start, end] : OwnedRowRanges(rows_from, L)) {
-      nn::Int8GemmKernel(outputs, 0, outputs.cols(), qt, start, logits, 1.0f,
-                         end);
-    }
-    obs::FlightStageBoundary(obs::FlightStage::kLogits);
-    return *logits;
-  }
   const nn::Tensor& table_t = ctx->TransposedCopy(table, weight_version_);
   nn::Tensor* logits =
       ctx->batch_workspace().Acquire(outputs.rows(), table_t.cols());

@@ -57,19 +57,9 @@ class TransDasModel {
   /// below `rows_from` of the result are unspecified. Callers that only
   /// score a tail of the window (the detector's clamped spans and the
   /// streaming scorer) skip the rest of the last block's work.
-  ///
-  /// With `slide` (and SupportsSlideCache()), the context's WindowSlideCache
-  /// supplies the embedding rows and block-0 packed Q|K|V rows: an exact-
-  /// match or one-position-slide window recomputes at most the newly
-  /// arrived row of both (everything deeper depends on the whole window and
-  /// is recomputed). The cache is keyed by the sanitized window keys plus
-  /// (model, weight_version), so interleaved sessions and weight hot-swaps
-  /// can only cause misses, never wrong rows — equal keys at equal version
-  /// imply bitwise-equal rows, keeping the slide path bitwise identical to
-  /// the from-scratch forward.
   const nn::Tensor& ForwardInference(nn::InferenceContext* ctx,
                                      const std::vector<int>& window,
-                                     int rows_from = 0, bool slide = false);
+                                     int rows_from = 0);
 
   /// Multi-window batched forward: `keys` holds `rows_from.size()` windows
   /// of L keys concatenated (windows may come from different sessions —
@@ -100,12 +90,6 @@ class TransDasModel {
   const nn::Tensor& AllKeyLogitsInferenceBatched(
       nn::InferenceContext* ctx, const nn::Tensor& outputs,
       const std::vector<int>& rows_from, int capacity);
-
-  /// Whether the cross-window slide cache applies: per-position rows are
-  /// reusable across slides only because the embedding (and hence block-0
-  /// QKV) row is a pure function of the key — a position embedding makes
-  /// rows position-dependent, so those configs always recompute.
-  bool SupportsSlideCache() const { return position_embedding_ == nullptr; }
 
   /// All trainable parameters.
   std::vector<nn::Parameter*> Params();
@@ -165,14 +149,6 @@ class TransDasModel {
   /// mid-pass.
   const nn::Tensor& PackedQkv(nn::InferenceContext* ctx, size_t block_index,
                               uint64_t wv, int packed_cols);
-
-  /// Int8 per-row-quantized transpose of PackedQkv (row j of the quantized
-  /// weight is packed column j — the B^T row layout Int8GemmKernel wants),
-  /// resolved through the context's quantized-weight cache at the same
-  /// pinned version. Only consulted on the kInt8 tier.
-  const nn::QuantizedWeight& QuantizedPackedQkv(nn::InferenceContext* ctx,
-                                                size_t block_index,
-                                                uint64_t wv, int packed_cols);
 
   TransDasConfig config_;
   std::unique_ptr<nn::Embedding> embedding_;

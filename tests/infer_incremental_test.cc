@@ -1,11 +1,10 @@
-// Locks down the incremental/batched scoring tier (PR 9): the multi-window
-// batched forward and the cross-window slide cache must be bitwise-identical
-// to the from-scratch fused engine on every computed row — across configs,
-// batch sizes, partial batches, and thread counts — and the detector tiers
-// built on them (DetectSessions, batch_windows, incremental streaming) must
-// be verdict-identical to the PR 5 paths. Also the weight-version staleness
-// contract: a MarkWeightsUpdated landing mid-forward can never mix weight
-// versions within one pass.
+// Locks down batched scoring: the multi-window batched forward must be
+// bitwise-identical to the per-window fused engine on every computed row —
+// across configs, batch sizes, partial batches, and thread counts — and the
+// detector paths built on it (DetectSessions, batch_windows) must be
+// verdict-identical to per-window scoring. Also the weight-version
+// staleness contract: a MarkWeightsUpdated landing mid-forward can never
+// mix weight versions within one pass.
 
 #include <cmath>
 #include <cstdint>
@@ -19,6 +18,7 @@
 #include "transdas/config.h"
 #include "transdas/detector.h"
 #include "transdas/model.h"
+#include "transdas/tape_reference.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -61,8 +61,7 @@ void ExpectVerdictEqual(const transdas::SessionVerdict& a,
 
 std::vector<transdas::TransDasConfig> ParityConfigs() {
   // Spans window length, head count (incl. non-power-of-two head_dim),
-  // depth, mask mode, and the position-embedding ablation (which disables
-  // the slide cache but not the batcher).
+  // depth, mask mode, and the position-embedding ablation.
   std::vector<transdas::TransDasConfig> configs(3);
   configs[0].vocab_size = 20;
   configs[0].window = 6;
@@ -137,131 +136,6 @@ TEST(BatchedInferTest, BatchedLogitsMatchPerWindowBitwise) {
   }
 }
 
-// ---------- Slide cache: incremental forward bitwise parity ----------
-
-TEST(SlideCacheTest, SlidingForwardMatchesFromScratchBitwise) {
-  ThreadGuard guard;
-  transdas::TransDasConfig config;
-  config.vocab_size = 31;
-  config.window = 9;
-  config.hidden_dim = 10;
-  config.num_heads = 2;
-  config.num_blocks = 2;
-  util::Rng rng(7);
-  transdas::TransDasModel model(config, &rng);
-  ASSERT_TRUE(model.SupportsSlideCache());
-  const int L = config.window;
-  nn::InferenceContext slide_ctx;
-  nn::InferenceContext ref_ctx;
-  // A sliding stream: each window drops the head key and appends one.
-  std::vector<int> window = RandomWindow(config, &rng);
-  for (int threads : {1, 2, 8}) {
-    util::SetNumThreads(threads);
-    for (int step = 0; step < 2 * L; ++step) {
-      const nn::Tensor ref = model.AllKeyLogitsInference(
-          &ref_ctx, model.ForwardInference(&ref_ctx, window, L - 1), L - 1);
-      const nn::Tensor& inc = model.AllKeyLogitsInference(
-          &slide_ctx,
-          model.ForwardInference(&slide_ctx, window, L - 1, /*slide=*/true),
-          L - 1);
-      for (int j = 0; j < ref.cols(); ++j) {
-        ASSERT_EQ(inc.at(L - 1, j), ref.at(L - 1, j))
-            << "step " << step << " col " << j << " threads " << threads;
-      }
-      window.erase(window.begin());
-      window.push_back(static_cast<int>(rng.UniformU64(config.vocab_size)));
-    }
-  }
-}
-
-TEST(SlideCacheTest, HitMissAccountingAndInterleavedSessionsStayExact) {
-  transdas::TransDasConfig config;
-  config.vocab_size = 17;
-  config.window = 5;
-  config.hidden_dim = 8;
-  config.num_heads = 2;
-  config.num_blocks = 1;
-  util::Rng rng(13);
-  transdas::TransDasModel model(config, &rng);
-  const int L = config.window;
-  nn::InferenceContext ctx;
-  nn::InferenceContext ref_ctx;
-  // Two interleaved sliding streams through ONE context: every alternation
-  // breaks the slide chain (a miss), but results must stay exact because
-  // validity is keyed by the window keys themselves, not session identity.
-  std::vector<std::vector<int>> streams = {RandomWindow(config, &rng),
-                                           RandomWindow(config, &rng)};
-  const uint64_t hits0 = nn::internal::SlideCacheHitsTotal();
-  const uint64_t misses0 = nn::internal::SlideCacheMissesTotal();
-  int forwards = 0;
-  for (int step = 0; step < 8; ++step) {
-    for (std::vector<int>& window : streams) {
-      const nn::Tensor ref = model.AllKeyLogitsInference(
-          &ref_ctx, model.ForwardInference(&ref_ctx, window, L - 1), L - 1);
-      const nn::Tensor& inc = model.AllKeyLogitsInference(
-          &ctx, model.ForwardInference(&ctx, window, L - 1, /*slide=*/true),
-          L - 1);
-      ++forwards;
-      for (int j = 0; j < ref.cols(); ++j) {
-        ASSERT_EQ(inc.at(L - 1, j), ref.at(L - 1, j));
-      }
-      window.erase(window.begin());
-      window.push_back(static_cast<int>(rng.UniformU64(config.vocab_size)));
-    }
-  }
-  // Every slide-enabled forward notes exactly one hit or miss.
-  EXPECT_EQ((nn::internal::SlideCacheHitsTotal() - hits0) +
-                (nn::internal::SlideCacheMissesTotal() - misses0),
-            static_cast<uint64_t>(forwards));
-  // Alternation defeats the cache here, so misses dominate — but none of
-  // them may corrupt a row (asserted above). A single-stream control:
-  const uint64_t hits1 = nn::internal::SlideCacheHitsTotal();
-  std::vector<int>& window = streams[0];
-  for (int step = 0; step < 6; ++step) {
-    model.ForwardInference(&ctx, window, L - 1, /*slide=*/true);
-    window.erase(window.begin());
-    window.push_back(static_cast<int>(rng.UniformU64(config.vocab_size)));
-  }
-  // After the first re-priming forward, every subsequent slide hits.
-  EXPECT_GE(nn::internal::SlideCacheHitsTotal() - hits1, 5u);
-}
-
-TEST(SlideCacheTest, WeightUpdateInvalidatesCache) {
-  transdas::TransDasConfig config;
-  config.vocab_size = 19;
-  config.window = 6;
-  config.hidden_dim = 8;
-  config.num_heads = 2;
-  config.num_blocks = 2;
-  util::Rng rng(23);
-  transdas::TransDasModel model(config, &rng);
-  const int L = config.window;
-  nn::InferenceContext ctx;
-  nn::InferenceContext ref_ctx;
-  std::vector<int> window = RandomWindow(config, &rng);
-  // Prime the cache, then hot-swap the embedding mid-stream: the stale
-  // cached rows must never leak into a post-update forward.
-  for (int step = 0; step < 10; ++step) {
-    if (step == 4) {
-      nn::Tensor& table = model.embedding().table().value();
-      for (int i = 1; i < table.rows(); ++i) {
-        for (int j = 0; j < table.cols(); ++j) table.at(i, j) += 0.5f;
-      }
-      model.MarkWeightsUpdated();
-    }
-    const nn::Tensor ref = model.AllKeyLogitsInference(
-        &ref_ctx, model.ForwardInference(&ref_ctx, window, L - 1), L - 1);
-    const nn::Tensor& inc = model.AllKeyLogitsInference(
-        &ctx, model.ForwardInference(&ctx, window, L - 1, /*slide=*/true),
-        L - 1);
-    for (int j = 0; j < ref.cols(); ++j) {
-      ASSERT_EQ(inc.at(L - 1, j), ref.at(L - 1, j)) << "step " << step;
-    }
-    window.erase(window.begin());
-    window.push_back(static_cast<int>(rng.UniformU64(config.vocab_size)));
-  }
-}
-
 // ---------- Detector tiers: verdict identity ----------
 
 std::vector<std::vector<int>> RandomSessions(int count, int vocab,
@@ -320,7 +194,7 @@ TEST(BatchedDetectorTest, BatchWindowsTierIsVerdictIdentical) {
     }
   }
   util::SetNumThreads(1);
-  // The fallback (batching disabled) must behave like a per-session loop.
+  // Without batching, the cross-session loop must match per-session calls.
   const std::vector<transdas::SessionVerdict> fallback =
       reference.DetectSessions(sessions);
   for (size_t s = 0; s < sessions.size(); ++s) {
@@ -356,44 +230,6 @@ TEST(BatchedDetectorTest, DetectSessionsHandlesDegenerateSessions) {
   ExpectVerdictEqual(detector.DetectSession(sessions[3]), verdicts[3]);
 }
 
-TEST(IncrementalDetectorTest, StreamingVerdictsIdenticalAcrossTiers) {
-  ThreadGuard guard;
-  // Covers both the slide-cache path and the position-embedding fallback
-  // (SupportsSlideCache() == false → incremental silently scores from
-  // scratch, same verdicts either way).
-  for (bool with_pe : {false, true}) {
-    transdas::TransDasConfig config;
-    config.vocab_size = 23;
-    config.window = 8;
-    config.hidden_dim = 8;
-    config.num_heads = 2;
-    config.num_blocks = 2;
-    config.use_position_embedding = with_pe;
-    util::Rng rng(31);
-    transdas::TransDasModel model(config, &rng);
-    ASSERT_EQ(model.SupportsSlideCache(), !with_pe);
-    const transdas::TransDasDetector reference(&model,
-                                               transdas::DetectorOptions{});
-    transdas::DetectorOptions inc_opts;
-    inc_opts.incremental = true;
-    const transdas::TransDasDetector incremental(&model, inc_opts);
-    for (int threads : {1, 2, 8}) {
-      util::SetNumThreads(threads);
-      std::vector<int> preceding;
-      for (int step = 0; step < 20; ++step) {
-        const int next =
-            step % 7 == 6
-                ? config.vocab_size + 2  // unknown key mid-stream
-                : static_cast<int>(rng.UniformU64(config.vocab_size));
-        ExpectOperationEqual(reference.ScoreNextOperation(preceding, next),
-                             incremental.ScoreNextOperation(preceding, next));
-        preceding.push_back(next);
-      }
-      util::SetNumThreads(1);
-    }
-  }
-}
-
 TEST(IncrementalDetectorTest, MidSessionWeightHotSwapStaysIdentical) {
   transdas::TransDasConfig config;
   config.vocab_size = 21;
@@ -403,16 +239,13 @@ TEST(IncrementalDetectorTest, MidSessionWeightHotSwapStaysIdentical) {
   config.num_blocks = 2;
   util::Rng rng(57);
   transdas::TransDasModel model(config, &rng);
-  const transdas::TransDasDetector reference(&model,
-                                             transdas::DetectorOptions{});
-  transdas::DetectorOptions inc_opts;
-  inc_opts.incremental = true;
-  const transdas::TransDasDetector incremental(&model, inc_opts);
+  const transdas::DetectorOptions options;
+  const transdas::TransDasDetector detector(&model, options);
   std::vector<int> preceding;
   for (int step = 0; step < 16; ++step) {
     if (step == 8) {
-      // Fine-tune-style hot swap mid-session: both tiers must track the new
-      // weights from the very next operation.
+      // Fine-tune-style hot swap mid-session: the streaming scorer's pooled
+      // contexts must track the new weights from the very next operation.
       nn::Tensor& table = model.embedding().table().value();
       for (int i = 1; i < table.rows(); ++i) {
         for (int j = 0; j < table.cols(); ++j) table.at(i, j) *= 1.25f;
@@ -420,8 +253,9 @@ TEST(IncrementalDetectorTest, MidSessionWeightHotSwapStaysIdentical) {
       model.FreezePaddingRow();  // bumps weight_version
     }
     const int next = static_cast<int>(rng.UniformU64(config.vocab_size));
-    ExpectOperationEqual(reference.ScoreNextOperation(preceding, next),
-                         incremental.ScoreNextOperation(preceding, next));
+    ExpectOperationEqual(transdas::TapeScoreNextOperation(&model, preceding,
+                                                          next, options.top_p),
+                         detector.ScoreNextOperation(preceding, next));
     preceding.push_back(next);
   }
 }
@@ -556,9 +390,9 @@ TEST(WeightVersionTest, MidForwardBumpDuringBatchedPassStaysConsistent) {
   model.MarkWeightsUpdated();
 }
 
-// ---------- Observability of the new tier ----------
+// ---------- Observability of batched scoring ----------
 
-TEST(BatchedInferTest, PublishesSlideAndBatchMetrics) {
+TEST(BatchedInferTest, PublishesBatchMetrics) {
   transdas::TransDasConfig config;
   config.vocab_size = 12;
   config.window = 4;
@@ -569,7 +403,6 @@ TEST(BatchedInferTest, PublishesSlideAndBatchMetrics) {
   transdas::TransDasModel model(config, &rng);
   nn::InferenceContext ctx;
   const std::vector<int> window = RandomWindow(config, &rng);
-  model.ForwardInference(&ctx, window, 0, /*slide=*/true);
   std::vector<int> keys;
   for (int b = 0; b < 2; ++b) {
     keys.insert(keys.end(), window.begin(), window.end());
@@ -578,9 +411,6 @@ TEST(BatchedInferTest, PublishesSlideAndBatchMetrics) {
   model.ForwardInferenceBatched(&ctx, keys, rows_from, 4);
   obs::MetricsRegistry registry;
   nn::PublishInferMetrics(&registry);
-  EXPECT_GE(registry.GetCounter("nn/infer/slide_cache_misses")->Value() +
-                registry.GetCounter("nn/infer/slide_cache_hits")->Value(),
-            1u);
   EXPECT_GE(registry.GetCounter("nn/infer/batches_total")->Value(), 1u);
   EXPECT_GE(registry.GetCounter("nn/infer/batched_windows_total")->Value(),
             2u);

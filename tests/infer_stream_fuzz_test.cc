@@ -1,10 +1,10 @@
-// Fuzz-style randomized session-stream harness for the incremental/batched
-// scoring tier: many sessions with random lengths, resets, unknown keys,
-// and out-of-order arrival are interleaved through a SHARED detector (whose
-// context pool shuffles slide caches across sessions), and every session's
-// verdict sequence must match a clean serial replay on a from-scratch
-// reference detector. The concurrent variants run under TSan in CI
-// (UCAD_SANITIZE=thread, UCAD_THREADS=4).
+// Fuzz-style randomized session-stream harness for streaming and batched
+// scoring: many sessions with random lengths, resets, unknown keys, and
+// out-of-order arrival are interleaved through a SHARED detector (whose
+// context pool hands each call a workspace warmed by other sessions), and
+// every session's verdict sequence must match a clean serial replay on a
+// separate reference detector. The concurrent variants run under TSan in
+// CI (UCAD_SANITIZE=thread, UCAD_THREADS=4).
 
 #include <atomic>
 #include <cstdint>
@@ -83,9 +83,8 @@ TEST_P(StreamFuzzTest, InterleavedStreamsWithResetsMatchSerialReplay) {
   util::Rng rng(GetParam());
   const transdas::TransDasConfig config = FuzzConfig();
   transdas::TransDasModel model(config, &rng);
-  transdas::DetectorOptions opts;
-  opts.incremental = true;
-  const transdas::TransDasDetector detector(&model, opts);
+  const transdas::TransDasDetector detector(&model,
+                                            transdas::DetectorOptions{});
   const transdas::TransDasDetector reference(&model,
                                              transdas::DetectorOptions{});
 
@@ -95,8 +94,8 @@ TEST_P(StreamFuzzTest, InterleavedStreamsWithResetsMatchSerialReplay) {
   // it one operation; occasionally reset a stream to position 0 (its
   // recorded run restarts, so the final record is one clean pass). Arrival
   // order across sessions is therefore arbitrary, and the shared context
-  // pool hands slide caches primed by OTHER sessions to each call — which
-  // may only ever cause cache misses, never different verdicts.
+  // pool hands each call a workspace last used by ANOTHER session — which
+  // must never leak into a verdict.
   bool remaining = true;
   while (remaining) {
     remaining = false;
@@ -165,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzzTest,
 
 TEST(StreamFuzzConcurrencyTest, ConcurrentStreamsAndBatchesStayExact) {
   // TSan target: four external threads stream disjoint session sets through
-  // ONE shared incremental detector (slide caches migrate between sessions
-  // via the context pool) while a fifth hammers the cross-session batcher,
+  // ONE shared detector (pooled contexts migrate between sessions) while a
+  // fifth hammers the cross-session batcher,
   // all above an active internal pool. Afterwards every recorded verdict
   // must match a clean serial replay — races would show up either as TSan
   // reports or as verdict drift.
@@ -175,7 +174,6 @@ TEST(StreamFuzzConcurrencyTest, ConcurrentStreamsAndBatchesStayExact) {
   const transdas::TransDasConfig config = FuzzConfig();
   transdas::TransDasModel model(config, &rng);
   transdas::DetectorOptions opts;
-  opts.incremental = true;
   opts.batch_windows = 3;
   transdas::TransDasDetector detector(&model, opts);
 

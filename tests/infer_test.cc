@@ -2,11 +2,15 @@
 // (src/nn/infer): for any model config, window, and thread count, the fused
 // forward kernels produce all-key logits BITWISE-identical to the recording
 // autograd tape, while performing zero tensor allocations at steady state.
-// Also covers the fused masked-softmax's numerical stability at extreme
-// magnitudes and the unknown-key contract of the shared Eq. 10 scorer.
+// The detector's session loop is held to the tape reference scorer
+// (transdas/tape_reference.h) verdict-for-verdict, bitwise, across every
+// scoring mode, batch size and thread count. Also covers the fused
+// masked-softmax's numerical stability at extreme magnitudes and the
+// unknown-key contract of the shared Eq. 10 scorer.
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include "transdas/config.h"
 #include "transdas/detector.h"
 #include "transdas/model.h"
+#include "transdas/tape_reference.h"
 #include "transdas/trainer.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -189,20 +194,16 @@ TEST(InferParityTest, DetectSessionVerdictsIdenticalOnScenarioWorkloads) {
   transdas::TransDasTrainer trainer(&model, config.training);
   trainer.Train(dataset.train);
 
-  transdas::DetectorOptions tape_opts = config.detection;
-  tape_opts.use_tape_engine = true;
-  transdas::DetectorOptions infer_opts = config.detection;
-  infer_opts.use_tape_engine = false;
-  const transdas::TransDasDetector tape_engine(&model, tape_opts);
-  const transdas::TransDasDetector infer_engine(&model, infer_opts);
+  const transdas::TransDasDetector infer_engine(&model, config.detection);
 
   int sessions = 0;
   for (const eval::LabeledSet& set : dataset.TestSets()) {
     for (const std::vector<int>& keys : set.sessions) {
+      const transdas::SessionVerdict expected =
+          transdas::TapeDetectSession(&model, keys, config.detection.top_p,
+                                      config.detection.batched);
       for (int threads : {1, 4}) {
         util::SetNumThreads(threads);
-        const transdas::SessionVerdict expected =
-            tape_engine.DetectSession(keys);
         const transdas::SessionVerdict got = infer_engine.DetectSession(keys);
         ASSERT_EQ(expected.abnormal, got.abnormal);
         ASSERT_EQ(expected.operations.size(), got.operations.size());
@@ -230,16 +231,13 @@ TEST(InferParityTest, StreamingScorerMatchesAcrossEngines) {
   config.num_blocks = 2;
   util::Rng rng(11);
   transdas::TransDasModel model(config, &rng);
-  transdas::DetectorOptions tape_opts;
-  tape_opts.use_tape_engine = true;
-  const transdas::TransDasDetector tape_engine(&model, tape_opts);
-  const transdas::TransDasDetector infer_engine(&model,
-                                                transdas::DetectorOptions{});
+  const transdas::DetectorOptions options;
+  const transdas::TransDasDetector infer_engine(&model, options);
   std::vector<int> preceding;
   for (int step = 0; step < 12; ++step) {
     const int next = 1 + static_cast<int>(rng.UniformU64(config.vocab_size - 1));
-    const transdas::OperationVerdict a =
-        tape_engine.ScoreNextOperation(preceding, next);
+    const transdas::OperationVerdict a = transdas::TapeScoreNextOperation(
+        &model, preceding, next, options.top_p);
     const transdas::OperationVerdict b =
         infer_engine.ScoreNextOperation(preceding, next);
     ASSERT_EQ(a.rank, b.rank);
@@ -247,6 +245,81 @@ TEST(InferParityTest, StreamingScorerMatchesAcrossEngines) {
     ASSERT_EQ(a.margin, b.margin);
     ASSERT_EQ(a.abnormal, b.abnormal);
     preceding.push_back(next);
+  }
+}
+
+// ---------- Tape-reference contract of the session loop ----------
+
+void ExpectVerdictBitwise(const transdas::SessionVerdict& a,
+                          const transdas::SessionVerdict& b) {
+  ASSERT_EQ(a.abnormal, b.abnormal);
+  ASSERT_EQ(a.operations.size(), b.operations.size());
+  for (size_t i = 0; i < a.operations.size(); ++i) {
+    const transdas::OperationVerdict& x = a.operations[i];
+    const transdas::OperationVerdict& y = b.operations[i];
+    ASSERT_EQ(x.position, y.position) << "op " << i;
+    ASSERT_EQ(x.rank, y.rank) << "op " << i;
+    ASSERT_EQ(x.abnormal, y.abnormal) << "op " << i;
+    ASSERT_EQ(x.score, y.score) << "op " << i;
+    ASSERT_EQ(x.margin, y.margin) << "op " << i;
+  }
+}
+
+TEST(TapeReferenceContractTest, SessionLoopMatchesTapeReferenceBitwise) {
+  ThreadGuard guard;
+  transdas::TransDasConfig config;
+  config.vocab_size = 21;
+  config.window = 6;
+  config.hidden_dim = 8;
+  config.num_heads = 2;
+  config.num_blocks = 2;
+  util::Rng rng(606);
+  transdas::TransDasModel model(config, &rng);
+  const int L = config.window;
+  // Empty, single-key, sub-window, exact-window, one-past and multi-window
+  // sessions, with an unknown key mixed into the longer ones.
+  std::vector<std::vector<int>> sessions;
+  for (int n : {0, 1, 2, L - 1, L, L + 1, 3 * L + 2}) {
+    std::vector<int> keys(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      keys[static_cast<size_t>(i)] =
+          i == 4 ? config.vocab_size + 3
+                 : static_cast<int>(rng.UniformU64(config.vocab_size));
+    }
+    sessions.push_back(std::move(keys));
+  }
+  for (bool batched : {true, false}) {
+    std::vector<transdas::SessionVerdict> expected;
+    for (const std::vector<int>& keys : sessions) {
+      expected.push_back(
+          transdas::TapeDetectSession(&model, keys, /*top_p=*/3, batched));
+    }
+    for (int batch_windows : {0, 1, 4}) {
+      transdas::DetectorOptions options;
+      options.top_p = 3;
+      options.batched = batched;
+      options.batch_windows = batch_windows;
+      const transdas::TransDasDetector detector(&model, options);
+      for (int threads : {1, 2, 8}) {
+        util::SetNumThreads(threads);
+        SCOPED_TRACE(::testing::Message()
+                     << "batched " << batched << " batch_windows "
+                     << batch_windows << " threads " << threads);
+        const std::vector<transdas::SessionVerdict> all =
+            detector.DetectSessions(sessions);
+        ASSERT_EQ(all.size(), sessions.size());
+        for (size_t i = 0; i < sessions.size(); ++i) {
+          SCOPED_TRACE(::testing::Message() << "session length "
+                                            << sessions[i].size());
+          ExpectVerdictBitwise(expected[i], all[i]);
+          ExpectVerdictBitwise(expected[i],
+                               detector.DetectSession(sessions[i]));
+          ExpectVerdictBitwise(expected[i],
+                               detector.ShadowDetectSession(sessions[i]));
+        }
+      }
+      util::SetNumThreads(1);
+    }
   }
 }
 

@@ -1,9 +1,7 @@
 // Randomized property tests for the evaluation metrics: for arbitrary
 // classifiers and test-set layouts, the derived rates must satisfy the
-// standard identities. Also the accounting invariants of the incremental/
-// batched inference tier: slide-cache hits + misses must equal the number
-// of slide-enabled forwards, and the batch-occupancy gauge must stay a
-// valid ratio in (0, 1].
+// standard identities. Also the accounting invariant of batched inference:
+// the batch-occupancy gauge must stay a valid ratio in (0, 1].
 
 #include <cmath>
 #include <cstdint>
@@ -145,44 +143,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetricsPropertyTest,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99999u,
                                            31337u, 271828u, 314159u));
 
-// ---------- Incremental/batched tier accounting invariants ----------
+// ---------- Batched inference accounting invariants ----------
 
 class InferAccountingPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
-
-TEST_P(InferAccountingPropertyTest, SlideCacheHitsPlusMissesEqualScoredOps) {
-  util::Rng rng(GetParam());
-  transdas::TransDasConfig config;
-  config.vocab_size = 15 + static_cast<int>(rng.UniformU64(10));
-  config.window = 4 + static_cast<int>(rng.UniformU64(5));
-  config.hidden_dim = 8;
-  config.num_heads = 2;
-  config.num_blocks = 1 + static_cast<int>(rng.UniformU64(2));
-  transdas::TransDasModel model(config, &rng);
-  transdas::DetectorOptions opts;
-  opts.incremental = true;
-  const transdas::TransDasDetector detector(&model, opts);
-
-  const uint64_t hits0 = nn::internal::SlideCacheHitsTotal();
-  const uint64_t misses0 = nn::internal::SlideCacheMissesTotal();
-  uint64_t scored = 0;
-  std::vector<int> preceding;
-  const int ops = 5 + static_cast<int>(rng.UniformU64(20));
-  for (int i = 0; i < ops; ++i) {
-    const int next = static_cast<int>(rng.UniformU64(config.vocab_size));
-    detector.ScoreNextOperation(preceding, next);
-    ++scored;
-    preceding.push_back(next);
-  }
-  // Every incremental position scored notes exactly one hit or one miss —
-  // no forward is double-counted and none escapes the accounting.
-  const uint64_t hits = nn::internal::SlideCacheHitsTotal() - hits0;
-  const uint64_t misses = nn::internal::SlideCacheMissesTotal() - misses0;
-  EXPECT_EQ(hits + misses, scored);
-  // Single-threaded single-session stream: at most the first forward (plus
-  // a possible L-boundary re-prime) can miss; the slide chain then holds.
-  EXPECT_GE(hits, scored - 2);
-}
 
 TEST_P(InferAccountingPropertyTest, BatchOccupancyGaugeStaysARatio) {
   util::Rng rng(GetParam() + 17);

@@ -1,6 +1,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -439,6 +440,76 @@ TEST(MetricsHttpServerTest, SurvivesClientClosingMidResponse) {
   const std::string metrics =
       HttpGet(server.port(), "GET /metrics HTTP/1.0");
   EXPECT_NE(metrics.find("stress_series_total"), std::string::npos);
+}
+
+TEST(MetricsHttpServerTest, JunkPathsShareOneRequestSeries) {
+  MetricsRegistry registry;
+  MetricsHttpServer server(&registry);
+  ASSERT_TRUE(server.Start(0).ok());
+  // A scanner walking 100 distinct paths must not mint 100 label values.
+  for (int i = 0; i < 100; ++i) {
+    HttpGet(server.port(), "GET /probe-" + std::to_string(i) + " HTTP/1.0");
+  }
+  HttpGet(server.port(), "GET /healthz?x=1 HTTP/1.0");
+  std::vector<std::string> paths;
+  uint64_t other = 0;
+  registry.ForEachSeries([&](const MetricsRegistry::SeriesRef& ref) {
+    if (ref.name != "obs/http_requests_total") return;
+    for (const auto& [key, value] : ref.labels) {
+      if (key == "path") paths.push_back(value);
+      if (key == "path" && value == "other") other = ref.counter->Value();
+    }
+  });
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_EQ(other, 100u);
+  EXPECT_EQ(registry
+                .GetCounter("obs/http_requests_total", {{"path", "/healthz"}})
+                ->Value(),
+            1u);
+}
+
+TEST(MetricsHttpServerTest, SilentClientDoesNotStallLaterScrape) {
+  MetricsRegistry registry;
+  registry.GetGauge("detector/anomaly_rate")->Set(0.5);
+  MetricsHttpServer server(&registry);
+  ASSERT_TRUE(server.Start(0).ok());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  // Client 1 connects and never sends a byte, holding its connection open.
+  const int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  ASSERT_EQ(
+      ::connect(silent, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // Client 2 scrapes. Its own receive timeout keeps a regression (a
+  // server blocked forever on client 1) from hanging the test binary.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval client_timeout{};
+  client_timeout.tv_sec = 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &client_timeout,
+               sizeof(client_timeout));
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    response.append(buf, static_cast<size_t>(n));
+  }
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  ::close(fd);
+  ::close(silent);
+  EXPECT_NE(response.find("detector_anomaly_rate 0.5"), std::string::npos)
+      << response;
+  EXPECT_LT(waited_ms, MetricsHttpServer::kIoTimeoutMs + 5000.0);
 }
 
 }  // namespace

@@ -196,6 +196,11 @@ struct GradCase {
   std::function<VarId(Tape*, VarId)> graph;
 };
 
+// gtest's default printer dumps the object's raw bytes, heap pointers
+// included, into the listed test IDs ("# GetParam() = ..."), so those IDs
+// would change from one build to the next. Print the case name instead.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
+
 class GradientCheckTest : public ::testing::TestWithParam<GradCase> {};
 
 TEST_P(GradientCheckTest, AnalyticMatchesNumeric) {
