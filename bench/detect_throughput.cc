@@ -135,146 +135,10 @@ std::pair<EngineResult, EngineResult> RunEngines(
   return {tape, fused};
 }
 
-bool SameVerdict(const transdas::SessionVerdict& a,
-                 const transdas::SessionVerdict& b) {
-  if (a.abnormal != b.abnormal ||
-      a.operations.size() != b.operations.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.operations.size(); ++i) {
-    if (a.operations[i].rank != b.operations[i].rank ||
-        a.operations[i].score != b.operations[i].score ||
-        a.operations[i].margin != b.operations[i].margin ||
-        a.operations[i].abnormal != b.operations[i].abnormal) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// UCAD_BENCH_INCREMENTAL=1: multi-window batched DetectSessions
-/// (batch_windows = 16) against per-window DetectSession on the same
-/// trained Scenario-I model. Both slices run back-to-back inside each pass
-/// (min-of-N best pass), so machine-load shifts hit both equally. The
-/// warmup pass doubles as a verdict-identity check: any divergence fails
-/// the run before a single timed pass. UCAD_BENCH_ASSERT_BATCH_SPEEDUP
-/// gates the batched windows/sec multiple over the per-window path.
-int RunBatchedMode(eval::Scale scale) {
-  // The title names the snapshot file CI gates against
-  // (bench_detect_throughput_incremental.json).
-  bench::Banner("Detect throughput incremental", scale);
-
-  eval::ScenarioConfig config = eval::ScenarioIConfig(scale);
-  util::Timer timer;
-  const eval::ScenarioDataset ds =
-      eval::BuildScenarioDataset(config.spec, config.dataset);
-  config.model.vocab_size = ds.vocab.size();
-  util::Rng rng(41);
-  transdas::TransDasModel model(config.model, &rng);
-  transdas::TransDasTrainer trainer(&model, config.training);
-  trainer.Train(ds.train);
-  std::printf("dataset + training: %.1fs (vocab %d, L=%d)\n",
-              timer.ElapsedSeconds(), config.model.vocab_size,
-              config.model.window);
-
-  std::vector<std::vector<int>> sessions;
-  int64_t total_windows = 0;
-  for (const eval::LabeledSet& set : ds.TestSets()) {
-    for (const std::vector<int>& keys : set.sessions) {
-      total_windows += SessionWindows(keys.size(), config.model.window);
-      sessions.push_back(keys);
-    }
-  }
-  std::printf("scoring %zu sessions (%lld windows) per pass\n",
-              sessions.size(), static_cast<long long>(total_windows));
-
-  const transdas::DetectorOptions fused_opts = config.detection;
-  transdas::DetectorOptions batch_opts = fused_opts;
-  batch_opts.batch_windows = 16;
-  const transdas::TransDasDetector fused_engine(&model, fused_opts);
-  const transdas::TransDasDetector batch_engine(&model, batch_opts);
-
-  // Warmup (sizes workspaces, primes weight caches) + parity: the batched
-  // tier must be verdict-identical to the per-window fused path.
-  const std::vector<transdas::SessionVerdict> batched_verdicts =
-      batch_engine.DetectSessions(sessions);
-  for (size_t s = 0; s < sessions.size(); ++s) {
-    if (!SameVerdict(fused_engine.DetectSession(sessions[s]),
-                     batched_verdicts[s])) {
-      std::fprintf(stderr,
-                   "FAIL: batched verdicts diverge from fused on session "
-                   "%zu\n",
-                   s);
-      return 1;
-    }
-  }
-
-  struct Tier {
-    std::string name;
-    double best_ms = 0.0;
-  };
-  Tier fused{"fused", 0.0};
-  Tier batch{"batch", 0.0};
-  const int passes = scale == eval::Scale::kSmoke ? 5 : 8;
-  for (int pass = 0; pass < passes; ++pass) {
-    util::Timer slice;
-    for (const std::vector<int>& keys : sessions) {
-      fused_engine.DetectSession(keys);
-    }
-    const double fused_ms = slice.ElapsedMillis();
-    util::Timer batch_timer;
-    batch_engine.DetectSessions(sessions);
-    const double batch_ms = batch_timer.ElapsedMillis();
-    const double pass_ms[] = {fused_ms, batch_ms};
-    Tier* tiers[] = {&fused, &batch};
-    for (int t = 0; t < 2; ++t) {
-      obs::DefaultMetrics()
-          .GetHistogram("bench/detect/" + tiers[t]->name + "_pass_ms")
-          ->Observe(pass_ms[t]);
-      if (tiers[t]->best_ms == 0.0 || pass_ms[t] < tiers[t]->best_ms) {
-        tiers[t]->best_ms = pass_ms[t];
-      }
-    }
-  }
-
-  util::TablePrinter table({"Tier", "best pass (ms)", "windows/sec"});
-  for (const Tier* t : {&fused, &batch}) {
-    const double per_sec =
-        static_cast<double>(total_windows) / (t->best_ms / 1000.0);
-    obs::DefaultMetrics()
-        .GetGauge("bench/detect/" + t->name + "_windows_per_sec")
-        ->Set(per_sec);
-    table.AddRow({t->name, util::FormatDouble(t->best_ms, 2),
-                  util::FormatDouble(per_sec, 0)});
-  }
-  table.Print(std::cout);
-
-  const double batch_speedup = fused.best_ms / batch.best_ms;
-  obs::DefaultMetrics()
-      .GetGauge("bench/detect/speedup_batch_over_fused")
-      ->Set(batch_speedup);
-  std::printf("batched speedup over fused per-window: %.2fx\n",
-              batch_speedup);
-
-  const char* assert_env = std::getenv("UCAD_BENCH_ASSERT_BATCH_SPEEDUP");
-  if (assert_env != nullptr && *assert_env != '\0') {
-    const double required = std::atof(assert_env);
-    if (!(batch_speedup >= required)) {
-      std::fprintf(stderr,
-                   "FAIL: batched speedup %.2fx below required %.2fx\n",
-                   batch_speedup, required);
-      return 1;
-    }
-    std::printf("batch speedup gate: %.2fx >= %.2fx OK\n", batch_speedup,
-                required);
-  }
-  return 0;
-}
-
 /// Verdict identity as the kernel-tier contract defines it: the same
 /// positions flagged with the same ranks. Scores and margins are allowed
 /// to differ in low-order bits (the vectorized tier reassociates float
-/// sums), so unlike SameVerdict this does not compare them.
+/// sums), so this does not compare them.
 bool SameVerdictStructure(const transdas::SessionVerdict& a,
                           const transdas::SessionVerdict& b) {
   if (a.abnormal != b.abnormal ||
@@ -426,10 +290,6 @@ int main() {
   if (simd_env != nullptr && *simd_env != '\0' &&
       std::string(simd_env) != "0") {
     return RunSimdMode(scale);
-  }
-  const char* inc_env = std::getenv("UCAD_BENCH_INCREMENTAL");
-  if (inc_env != nullptr && *inc_env != '\0' && std::string(inc_env) != "0") {
-    return RunBatchedMode(scale);
   }
   bench::Banner("Detect throughput", scale);
 

@@ -108,9 +108,8 @@ void BM_InferMatMulSlice(benchmark::State& state) {
   const nn::Tensor a = nn::Tensor::Randn(L, h, 1.0f, &rng);
   const nn::Tensor b = nn::Tensor::Randn(h, cols, 1.0f, &rng);
   nn::Tensor out(L, cols);
-  nn::ScopedKernelTier scope(tier);
   for (auto _ : state) {
-    nn::MatMulSliceKernel(a, 0, h, b, 0, &out);
+    nn::MatMulSliceKernel(tier, a, 0, h, b, 0, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 2ll * L * h * cols);
@@ -129,12 +128,11 @@ void BM_InferMaskedSoftmax(benchmark::State& state) {
   nn::Tensor mask(L, L);
   for (int i = 0; i + 1 < L; ++i) mask.at(i, i + 1) = -1e9f;
   nn::Tensor scores(L, L);
-  nn::ScopedKernelTier scope(tier);
   for (auto _ : state) {
     // Both tiers pay the same refill; softmax runs on identical inputs.
     std::memcpy(scores.data(), src.data(),
                 static_cast<size_t>(L) * L * sizeof(float));
-    nn::MaskedSoftmaxKernel(&scores, 0.316f, mask);
+    nn::MaskedSoftmaxKernel(tier, &scores, 0.316f, mask);
     benchmark::DoNotOptimize(scores.data());
   }
   state.SetItemsProcessed(state.iterations() * L * L);
@@ -150,9 +148,8 @@ void BM_InferResidualLayerNorm(benchmark::State& state) {
   const nn::Tensor gain = nn::Tensor::Randn(1, h, 0.5f, &rng);
   const nn::Tensor bias = nn::Tensor::Randn(1, h, 0.5f, &rng);
   nn::Tensor out(L, h);
-  nn::ScopedKernelTier scope(tier);
   for (auto _ : state) {
-    nn::ResidualLayerNormKernel(x, res, gain, bias, 1e-5f, &out);
+    nn::ResidualLayerNormKernel(tier, x, res, gain, bias, 1e-5f, &out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * L * h);
@@ -164,12 +161,12 @@ void BM_InferAttnContext(benchmark::State& state) {
   const int L = 30, h = 10, hd = 5;
   util::Rng rng(9);
   nn::Tensor att = nn::Tensor::Randn(L, L, 1.0f, &rng);
-  nn::MaskedSoftmaxKernel(&att, 1.0f, nn::Tensor(L, L));
+  nn::MaskedSoftmaxKernel(nn::KernelTier::kReference, &att, 1.0f,
+                          nn::Tensor(L, L));
   const nn::Tensor qkv = nn::Tensor::Randn(L, 32, 1.0f, &rng);
   nn::Tensor concat(L, h);
-  nn::ScopedKernelTier scope(tier);
   for (auto _ : state) {
-    nn::AttnContextKernel(att, 0, qkv, 20, hd, 0, &concat);
+    nn::AttnContextKernel(tier, att, 0, qkv, 20, hd, 0, &concat);
     benchmark::DoNotOptimize(concat.data());
   }
   state.SetItemsProcessed(state.iterations() * 2ll * L * L * hd);
@@ -186,10 +183,9 @@ void BM_InferForwardTier(benchmark::State& state) {
   config.num_blocks = 6;
   util::Rng rng(10);
   transdas::TransDasModel model(config, &rng);
-  nn::InferenceContext ctx;
+  nn::InferenceContext ctx(tier);
   std::vector<int> window(config.window);
   for (int i = 0; i < config.window; ++i) window[i] = 1 + (i * 17) % 500;
-  nn::ScopedKernelTier scope(tier);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         model.AllKeyLogitsInference(&ctx, model.ForwardInference(&ctx, window))

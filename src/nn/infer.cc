@@ -22,9 +22,6 @@ std::atomic<int64_t> g_live_contexts{0};
 std::atomic<uint64_t> g_forwards_total{0};
 std::atomic<int64_t> g_ws_live_bytes{0};
 std::atomic<int64_t> g_ws_peak_bytes{0};
-std::atomic<uint64_t> g_batches_total{0};
-std::atomic<uint64_t> g_batched_windows_total{0};
-std::atomic<uint64_t> g_batched_slots_total{0};
 std::atomic<uint64_t> g_tier_forwards_total[2] = {{0}, {0}};
 std::atomic<int> g_last_forward_tier{0};
 
@@ -47,18 +44,6 @@ int64_t WorkspaceLiveBytes() {
 
 uint64_t InferForwardsTotal() {
   return g_forwards_total.load(std::memory_order_relaxed);
-}
-
-uint64_t BatchForwardsTotal() {
-  return g_batches_total.load(std::memory_order_relaxed);
-}
-
-uint64_t BatchedWindowsTotal() {
-  return g_batched_windows_total.load(std::memory_order_relaxed);
-}
-
-uint64_t BatchedSlotsTotal() {
-  return g_batched_slots_total.load(std::memory_order_relaxed);
 }
 
 uint64_t TierForwardsTotal(KernelTier tier) {
@@ -97,15 +82,15 @@ size_t Workspace::TotalBytes() const {
   return bytes;
 }
 
-InferenceContext::InferenceContext() {
+InferenceContext::InferenceContext(KernelTier tier) : tier_(tier) {
   g_contexts_total.fetch_add(1, std::memory_order_relaxed);
   g_live_contexts.fetch_add(1, std::memory_order_relaxed);
 }
 
 InferenceContext::~InferenceContext() {
   g_live_contexts.fetch_sub(1, std::memory_order_relaxed);
-  // The two workspaces subtract their own bytes in ~Workspace; the derived
-  // weight cache is accounted here.
+  // The workspace subtracts its own bytes in ~Workspace; the derived weight
+  // cache is accounted here.
   int64_t cached_bytes = 0;
   for (const auto& [key, entry] : weight_cache_) {
     cached_bytes += static_cast<int64_t>(entry.tensor.size() * sizeof(float));
@@ -138,19 +123,11 @@ const Tensor& InferenceContext::TransposedCopy(const Tensor& src,
                       [&src](Tensor* out) { TransposeKernel(src, out); });
 }
 
-void InferenceContext::NoteForward(KernelTier tier) {
+void InferenceContext::NoteForward() {
   g_forwards_total.fetch_add(1, std::memory_order_relaxed);
-  g_tier_forwards_total[static_cast<int>(tier)].fetch_add(
+  g_tier_forwards_total[static_cast<int>(tier_)].fetch_add(
       1, std::memory_order_relaxed);
-  g_last_forward_tier.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-void InferenceContext::NoteBatchForward(int windows, int capacity) {
-  g_batches_total.fetch_add(1, std::memory_order_relaxed);
-  g_batched_windows_total.fetch_add(static_cast<uint64_t>(windows),
-                                    std::memory_order_relaxed);
-  g_batched_slots_total.fetch_add(static_cast<uint64_t>(capacity),
-                                  std::memory_order_relaxed);
+  g_last_forward_tier.store(static_cast<int>(tier_), std::memory_order_relaxed);
 }
 
 void InferenceContext::RecordAttentionRow(size_t head, const float* row,
@@ -162,9 +139,7 @@ void InferenceContext::RecordAttentionRow(size_t head, const float* row,
 
 void GatherRowsKernel(const Tensor& table, const std::vector<int>& indices,
                       Tensor* out) {
-  // >= rather than ==: the batched engine gathers B*L rows into a
-  // capacity-sized buffer and leaves the unused slots untouched.
-  UCAD_DCHECK(out->rows() >= static_cast<int>(indices.size()));
+  UCAD_DCHECK(out->rows() == static_cast<int>(indices.size()));
   UCAD_DCHECK(out->cols() == table.cols());
   const int cols = table.cols();
   RowParallelFor(0, static_cast<int>(indices.size()), cols,
@@ -321,19 +296,19 @@ void AttnContextRows(const Tensor& att, const Tensor& qkv, int vcol0, int hd,
 
 }  // namespace
 
-void MatMulSliceKernel(const Tensor& a, int acol0, int k, const Tensor& b,
-                       int row0, Tensor* out, float post_scale, int row1) {
+void MatMulSliceKernel(KernelTier tier, const Tensor& a, int acol0, int k,
+                       const Tensor& b, int row0, Tensor* out,
+                       float post_scale) {
   UCAD_DCHECK(acol0 >= 0 && acol0 + k <= a.cols());
   UCAD_DCHECK(b.rows() == k);
   UCAD_DCHECK(out->rows() == a.rows() && out->cols() == b.cols());
-  const int end = row1 < 0 ? a.rows() : row1;
-  UCAD_DCHECK(row0 >= 0 && row0 <= end && end <= a.rows());
-  if (CurrentKernelTier() != KernelTier::kReference) {
-    fast::MatMulSlice(a, acol0, k, b, row0, end, post_scale, out);
+  UCAD_DCHECK(row0 >= 0 && row0 <= a.rows());
+  if (tier != KernelTier::kReference) {
+    fast::MatMulSlice(a, acol0, k, b, row0, a.rows(), post_scale, out);
     return;
   }
   const int n = b.cols();
-  RowParallelFor(row0, end, k * n, [&](int64_t r0, int64_t r1) {
+  RowParallelFor(row0, a.rows(), k * n, [&](int64_t r0, int64_t r1) {
     // Compile-time depth for the shipped head/hidden widths: a fully
     // unrolled 4-10 deep accumulation loop beats the generic counted one.
     switch (k) {
@@ -362,13 +337,14 @@ void MatMulSliceKernel(const Tensor& a, int acol0, int k, const Tensor& b,
   });
 }
 
-void AttnContextKernel(const Tensor& att, int row0, const Tensor& qkv,
-                       int vcol0, int hd, int ccol0, Tensor* concat) {
+void AttnContextKernel(KernelTier tier, const Tensor& att, int row0,
+                       const Tensor& qkv, int vcol0, int hd, int ccol0,
+                       Tensor* concat) {
   UCAD_DCHECK(att.cols() == qkv.rows());
   UCAD_DCHECK(vcol0 >= 0 && vcol0 + hd <= qkv.cols());
   UCAD_DCHECK(ccol0 >= 0 && ccol0 + hd <= concat->cols());
   UCAD_DCHECK(concat->rows() == att.rows());
-  if (CurrentKernelTier() != KernelTier::kReference) {
+  if (tier != KernelTier::kReference) {
     fast::AttnContext(att, row0, qkv, vcol0, hd, ccol0, concat);
     return;
   }
@@ -391,39 +367,10 @@ void AttnContextKernel(const Tensor& att, int row0, const Tensor& qkv,
   });
 }
 
-namespace {
-
-/// One row of the masked-attention softmax, shared by MaskedSoftmaxKernel
-/// and the batched attention pipeline. The mask add is fused with the
-/// running max: add-then-compare has no mul-feeding-add shape, so
-/// contraction cannot merge what the tape stores as separate Add and
-/// SoftmaxRows-max traversals. Peeling c=0 preserves the tape's exact max
-/// seeding (max_v = o[0], then std::max pairs in ascending order — NaN
-/// handling included); the normalization is byte-for-byte the tape's
-/// SoftmaxRows row loop (exp of the float difference, double sum, one
-/// float reciprocal).
-inline void MaskedSoftmaxRow(float* o, const float* m, int n) {
-  o[0] += m[0];
-  float max_v = o[0];
-  for (int c = 1; c < n; ++c) {
-    o[c] += m[c];
-    max_v = std::max(max_v, o[c]);
-  }
-  double sum = 0.0;
-  for (int c = 0; c < n; ++c) {
-    o[c] = std::exp(o[c] - max_v);
-    sum += o[c];
-  }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (int c = 0; c < n; ++c) o[c] *= inv;
-}
-
-}  // namespace
-
-void MaskedSoftmaxKernel(Tensor* scores, float scale, const Tensor& mask,
-                         int row0) {
+void MaskedSoftmaxKernel(KernelTier tier, Tensor* scores, float scale,
+                         const Tensor& mask, int row0) {
   UCAD_DCHECK(scores->SameShape(mask));
-  if (CurrentKernelTier() != KernelTier::kReference) {
+  if (tier != KernelTier::kReference) {
     fast::MaskedSoftmax(scores, scale, mask, row0);
     return;
   }
@@ -432,6 +379,7 @@ void MaskedSoftmaxKernel(Tensor* scores, float scale, const Tensor& mask,
     for (int64_t ri = r0; ri < r1; ++ri) {
       const int r = static_cast<int>(ri);
       float* o = scores->row(r);
+      const float* m = mask.row(r);
       // Scale in its own pass so each store rounds exactly like the tape's
       // Scale node (no cross-op FMA contraction with the mask add). Callers
       // that pre-scaled (the scores kernel's epilogue) pass scale == 1, and
@@ -439,142 +387,47 @@ void MaskedSoftmaxKernel(Tensor* scores, float scale, const Tensor& mask,
       if (scale != 1.0f) {
         for (int c = 0; c < n; ++c) o[c] *= scale;
       }
-      MaskedSoftmaxRow(o, mask.row(r), n);
+      // The mask add is fused with the running max: add-then-compare has no
+      // mul-feeding-add shape, so contraction cannot merge what the tape
+      // stores as separate Add and SoftmaxRows-max traversals. Peeling c=0
+      // preserves the tape's exact max seeding (max_v = o[0], then std::max
+      // pairs in ascending order — NaN handling included); the
+      // normalization is byte-for-byte the tape's SoftmaxRows row loop (exp
+      // of the float difference, double sum, one float reciprocal).
+      o[0] += m[0];
+      float max_v = o[0];
+      for (int c = 1; c < n; ++c) {
+        o[c] += m[c];
+        max_v = std::max(max_v, o[c]);
+      }
+      double sum = 0.0;
+      for (int c = 0; c < n; ++c) {
+        o[c] = std::exp(o[c] - max_v);
+        sum += o[c];
+      }
+      const float inv = static_cast<float>(1.0 / sum);
+      for (int c = 0; c < n; ++c) o[c] *= inv;
     }
   });
 }
 
-namespace {
-
-/// Row-range worker of BatchedAttentionHeadKernel: each global row r maps
-/// to window b = r / L, query position i = r % L, and runs the exact
-/// per-row pipelines of MatMulSliceKernel (zeroed destination, ascending-
-/// depth accumulation, zero-operand skip, scale epilogue), MaskedSoftmaxRow
-/// (window-local mask row i), and AttnContextKernel (value rows of window b
-/// only). HD is the compile-time head width where possible, HD = 0 the
-/// runtime fallback — same dispatch as the single-window kernels.
-template <int HD>
-void BatchedAttnRows(const Tensor& qkv, int L, const int* rows_from, int qoff,
-                     int hd, const Tensor& kt, float scale, const Tensor& mask,
-                     int voff, int ccol0, int64_t r0, int64_t r1,
-                     Tensor* scores, Tensor* concat) {
-  const int depth = HD > 0 ? HD : hd;
-  for (int64_t gr = r0; gr < r1; ++gr) {
-    const int r = static_cast<int>(gr);
-    const int b = r / L;
-    const int i = r - b * L;
-    if (rows_from != nullptr && i < rows_from[b]) continue;
-    float* o = scores->row(r);
-    const float* q = qkv.row(r) + qoff;
-    for (int j = 0; j < L; ++j) o[j] = 0.0f;
-    for (int p = 0; p < depth; ++p) {
-      const float av = q[p];
-      if (av == 0.0f) continue;
-      const float* __restrict__ brow = kt.row(b * hd + p);
-      for (int j = 0; j < L; ++j) o[j] += av * brow[j];
-    }
-    if (scale != 1.0f) {
-      for (int j = 0; j < L; ++j) o[j] *= scale;
-    }
-    MaskedSoftmaxRow(o, mask.row(i), L);
-    const int vbase = b * L;
-    float* crow = concat->row(r) + ccol0;
-    if constexpr (HD > 0) {
-      float acc[HD > 0 ? HD : 1];
-      for (int d = 0; d < HD; ++d) acc[d] = 0.0f;
-      for (int p = 0; p < L; ++p) {
-        const float av = o[p];
-        if (av == 0.0f) continue;
-        const float* vrow = qkv.row(vbase + p) + voff;
-        for (int d = 0; d < HD; ++d) acc[d] += av * vrow[d];
-      }
-      for (int d = 0; d < HD; ++d) crow[d] = acc[d];
-    } else {
-      for (int d = 0; d < hd; ++d) crow[d] = 0.0f;
-      for (int p = 0; p < L; ++p) {
-        const float av = o[p];
-        if (av == 0.0f) continue;
-        const float* vrow = qkv.row(vbase + p) + voff;
-        for (int d = 0; d < hd; ++d) crow[d] += av * vrow[d];
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void BatchedTransposeSliceKernel(const Tensor& qkv, int num_windows, int L,
-                                 int col0, int cols, Tensor* out) {
-  UCAD_DCHECK(out->rows() >= num_windows * cols && out->cols() == L);
-  UCAD_DCHECK(qkv.rows() >= num_windows * L);
-  UCAD_DCHECK(col0 >= 0 && col0 + cols <= qkv.cols());
-  for (int b = 0; b < num_windows; ++b) {
-    for (int i = 0; i < L; ++i) {
-      const float* arow = qkv.row(b * L + i) + col0;
-      for (int c = 0; c < cols; ++c) out->at(b * cols + c, i) = arow[c];
-    }
-  }
-}
-
-void BatchedAttentionHeadKernel(const Tensor& qkv, int num_windows, int L,
-                                const int* rows_from, int qoff, int hd,
-                                const Tensor& kt, float scale,
-                                const Tensor& mask, int voff, int ccol0,
-                                Tensor* scores, Tensor* concat) {
-  UCAD_DCHECK(qkv.rows() >= num_windows * L);
-  UCAD_DCHECK(kt.rows() >= num_windows * hd && kt.cols() == L);
-  UCAD_DCHECK(mask.rows() == L && mask.cols() == L);
-  UCAD_DCHECK(scores->rows() >= num_windows * L && scores->cols() == L);
-  UCAD_DCHECK(concat->rows() >= num_windows * L);
-  UCAD_DCHECK(qoff >= 0 && qoff + hd <= qkv.cols());
-  UCAD_DCHECK(voff >= 0 && voff + hd <= qkv.cols());
-  UCAD_DCHECK(ccol0 >= 0 && ccol0 + hd <= concat->cols());
-  if (CurrentKernelTier() != KernelTier::kReference) {
-    fast::BatchedAttnHead(qkv, num_windows, L, rows_from, qoff, hd, kt, scale,
-                          mask, voff, ccol0, scores, concat);
-    return;
-  }
-  const int total = num_windows * L;
-  // Per-row cost: L*hd (scores) + L (softmax) + L*hd (context).
-  RowParallelFor(0, total, L * (2 * hd + 2), [&](int64_t r0, int64_t r1) {
-    switch (hd) {
-      case 4:
-        BatchedAttnRows<4>(qkv, L, rows_from, qoff, hd, kt, scale, mask, voff,
-                           ccol0, r0, r1, scores, concat);
-        break;
-      case 5:
-        BatchedAttnRows<5>(qkv, L, rows_from, qoff, hd, kt, scale, mask, voff,
-                           ccol0, r0, r1, scores, concat);
-        break;
-      case 8:
-        BatchedAttnRows<8>(qkv, L, rows_from, qoff, hd, kt, scale, mask, voff,
-                           ccol0, r0, r1, scores, concat);
-        break;
-      default:
-        BatchedAttnRows<0>(qkv, L, rows_from, qoff, hd, kt, scale, mask, voff,
-                           ccol0, r0, r1, scores, concat);
-        break;
-    }
-  });
-}
-
-void ResidualLayerNormKernel(const Tensor& x, const Tensor& res,
-                             const Tensor& gain, const Tensor& bias, float eps,
-                             Tensor* out, int row0, int row1) {
+void ResidualLayerNormKernel(KernelTier tier, const Tensor& x,
+                             const Tensor& res, const Tensor& gain,
+                             const Tensor& bias, float eps, Tensor* out,
+                             int row0) {
   UCAD_DCHECK(x.SameShape(res));
   UCAD_DCHECK(out->SameShape(x));
   UCAD_DCHECK(gain.rows() == 1 && gain.cols() == x.cols());
   UCAD_DCHECK(bias.rows() == 1 && bias.cols() == x.cols());
-  const int end = row1 < 0 ? x.rows() : row1;
-  UCAD_DCHECK(row0 >= 0 && row0 <= end && end <= x.rows());
-  if (CurrentKernelTier() != KernelTier::kReference) {
-    fast::ResidualLayerNorm(x, res, gain, bias, eps, out, row0, end);
+  UCAD_DCHECK(row0 >= 0 && row0 <= x.rows());
+  if (tier != KernelTier::kReference) {
+    fast::ResidualLayerNorm(x, res, gain, bias, eps, out, row0, x.rows());
     return;
   }
   const int n = x.cols();
   const float* vg = gain.row(0);
   const float* vb = bias.row(0);
-  RowParallelFor(row0, end, n, [&](int64_t r0, int64_t r1) {
+  RowParallelFor(row0, x.rows(), n, [&](int64_t r0, int64_t r1) {
     for (int64_t ri = r0; ri < r1; ++ri) {
       const int r = static_cast<int>(ri);
       const float* xin = x.row(r);
@@ -602,17 +455,12 @@ void ResidualLayerNormKernel(const Tensor& x, const Tensor& res,
   });
 }
 
-void BiasReluKernel(Tensor* x, const Tensor& bias, int row0, int row1) {
+void BiasReluKernel(Tensor* x, const Tensor& bias, int row0) {
   UCAD_DCHECK(bias.rows() == 1 && bias.cols() == x->cols());
-  const int end = row1 < 0 ? x->rows() : row1;
-  UCAD_DCHECK(row0 >= 0 && row0 <= end && end <= x->rows());
-  if (CurrentKernelTier() != KernelTier::kReference) {
-    fast::BiasRelu(x, bias, row0, end);
-    return;
-  }
+  UCAD_DCHECK(row0 >= 0 && row0 <= x->rows());
   const int n = x->cols();
   const float* vb = bias.row(0);
-  RowParallelFor(row0, end, n, [&](int64_t r0, int64_t r1) {
+  RowParallelFor(row0, x->rows(), n, [&](int64_t r0, int64_t r1) {
     for (int64_t ri = r0; ri < r1; ++ri) {
       float* o = x->row(static_cast<int>(ri));
       // One rounded add (the AddRowVector store) then an exact max.
@@ -621,17 +469,12 @@ void BiasReluKernel(Tensor* x, const Tensor& bias, int row0, int row1) {
   });
 }
 
-void BiasAddKernel(Tensor* x, const Tensor& bias, int row0, int row1) {
+void BiasAddKernel(Tensor* x, const Tensor& bias, int row0) {
   UCAD_DCHECK(bias.rows() == 1 && bias.cols() == x->cols());
-  const int end = row1 < 0 ? x->rows() : row1;
-  UCAD_DCHECK(row0 >= 0 && row0 <= end && end <= x->rows());
-  if (CurrentKernelTier() != KernelTier::kReference) {
-    fast::BiasAdd(x, bias, row0, end);
-    return;
-  }
+  UCAD_DCHECK(row0 >= 0 && row0 <= x->rows());
   const int n = x->cols();
   const float* vb = bias.row(0);
-  RowParallelFor(row0, end, n, [&](int64_t r0, int64_t r1) {
+  RowParallelFor(row0, x->rows(), n, [&](int64_t r0, int64_t r1) {
     for (int64_t ri = r0; ri < r1; ++ri) {
       float* o = x->row(static_cast<int>(ri));
       for (int c = 0; c < n; ++c) o[c] += vb[c];
@@ -696,10 +539,6 @@ void PublishInferMetrics(obs::MetricsRegistry* registry) {
                   g_contexts_total.load(std::memory_order_relaxed));
   publish_counter("nn/infer/forwards_total",
                   g_forwards_total.load(std::memory_order_relaxed));
-  publish_counter("nn/infer/batches_total",
-                  g_batches_total.load(std::memory_order_relaxed));
-  publish_counter("nn/infer/batched_windows_total",
-                  g_batched_windows_total.load(std::memory_order_relaxed));
   for (const KernelTier tier :
        {KernelTier::kReference, KernelTier::kVectorized}) {
     obs::Counter* counter = registry->GetCounter(
@@ -712,12 +551,6 @@ void PublishInferMetrics(obs::MetricsRegistry* registry) {
           g_last_forward_tier.load(std::memory_order_relaxed)));
   registry->GetGauge("nn/infer/simd_isa")
       ->Set(static_cast<double>(static_cast<int>(util::ActiveSimdIsa())));
-  const uint64_t slots = g_batched_slots_total.load(std::memory_order_relaxed);
-  registry->GetGauge("nn/infer/batch_occupancy")
-      ->Set(slots == 0 ? 0.0
-                       : static_cast<double>(g_batched_windows_total.load(
-                             std::memory_order_relaxed)) /
-                             static_cast<double>(slots));
   registry->GetGauge("nn/infer/live_contexts")
       ->Set(static_cast<double>(
           g_live_contexts.load(std::memory_order_relaxed)));

@@ -54,26 +54,26 @@ class Workspace {
   size_t cursor_ = 0;
 };
 
-/// Per-lane state of the tape-free inference engine: the buffer arenas plus
+/// Per-lane state of the tape-free inference engine: the buffer arena plus
 /// caches of derived weights (the transposed embedding table used by the
 /// all-key logits kernel and the per-block packed QKV projection matrices),
 /// keyed by source pointer + weight version so fine-tuning invalidates
 /// them. Create one per concurrent scoring lane and reuse it across
 /// windows; construction is cheap, the first forward sizes everything.
+///
+/// The context also carries the kernel tier its forwards run under: the
+/// model passes kernel_tier() to every arithmetic kernel, so the tier
+/// follows the context onto whichever pool thread holds it.
 class InferenceContext {
  public:
-  InferenceContext();
+  explicit InferenceContext(KernelTier tier = KernelTier::kReference);
   InferenceContext(const InferenceContext&) = delete;
   InferenceContext& operator=(const InferenceContext&) = delete;
   ~InferenceContext();
 
   Workspace& workspace() { return workspace_; }
 
-  /// Separate arena for multi-window batched forwards: batched frames have
-  /// a different (capacity-sized) acquisition sequence, and sharing one
-  /// arena with single-window frames would churn slot shapes every time a
-  /// pooled context alternates between the two modes.
-  Workspace& batch_workspace() { return batch_workspace_; }
+  KernelTier kernel_tier() const { return tier_; }
 
   /// `src` transposed, cached until `version` (or the source pointer)
   /// changes. Transposition is a pure copy, so the cache cannot perturb
@@ -89,13 +89,8 @@ class InferenceContext {
                              const std::function<void(Tensor*)>& fill);
 
   /// Called by the engine after each full forward (feeds nn/infer metrics);
-  /// `tier` attributes the forward to its kernel tier.
-  void NoteForward(KernelTier tier = KernelTier::kReference);
-
-  /// Batched-forward accounting: one batched forward packed `windows` of
-  /// `capacity` slots (feeds nn/infer/batches_total, batched_windows_total
-  /// and the batch_occupancy gauge). Also counts as one forward.
-  void NoteBatchForward(int windows, int capacity);
+  /// the forward is attributed to this context's kernel tier.
+  void NoteForward();
 
   // ---- Verdict-attribution hook ---------------------------------------
   //
@@ -128,8 +123,8 @@ class InferenceContext {
     Tensor tensor;
   };
 
+  KernelTier tier_;
   Workspace workspace_;
-  Workspace batch_workspace_;
   std::unordered_map<const void*, CacheEntry> weight_cache_;
   int attention_capture_row_ = -1;
   std::vector<std::vector<float>> captured_attention_;
@@ -137,25 +132,23 @@ class InferenceContext {
 
 // ---- Fused forward kernels -------------------------------------------------
 //
-// Under the default KernelTier::kReference each kernel replicates the tape
-// path's per-op rounding exactly: fusion saves graph recording, gradient
+// Under KernelTier::kReference each kernel replicates the tape path's
+// per-op rounding exactly: fusion saves graph recording, gradient
 // bookkeeping, and intermediate buffers, but every float store happens in
 // the same order with the same value as the corresponding tape ops, so the
-// engines agree bitwise (docs/INFERENCE.md). When the calling thread's
-// ambient tier (simd.h) is kVectorized, the arithmetic kernels route to
-// the relaxed fast:: bodies instead — runtime-dispatched
-// vectorized implementations whose contract is verdict identity, not
-// bitwise logits. Pure-copy kernels (gather/transpose) are tier-invariant.
-// Row-partitioned kernels dispatch through the global thread pool above the
-// thresholds in parallel_thresholds.h; row partitions never change
-// accumulation order, so parallel==serial stays bitwise per tier. Kernels
-// read the tier once at entry (on the calling thread) before fanning out,
-// so pool workers inherit the decision through the captured lambda.
+// engines agree bitwise (docs/INFERENCE.md). The arithmetic kernels take
+// the tier as their first argument (the model passes its context's tier);
+// under kVectorized they route to the relaxed fast:: bodies instead —
+// runtime-dispatched vectorized implementations whose contract is verdict
+// identity, not bitwise logits. Copy kernels (gather/transpose) and the
+// bias kernels, whose one add per element has no accumulation order to
+// relax, are tier-invariant and take no tier. Row-partitioned kernels
+// dispatch through the global thread pool above the thresholds in
+// parallel_thresholds.h; row partitions never change accumulation order,
+// so parallel==serial stays bitwise per tier.
 
-/// Embedding gather: out[i, :] = table[indices[i], :]. `out` must have at
-/// least |indices| rows (extra rows — the unused slots of a partially
-/// filled batch — are left untouched) and table.cols columns. Indices must
-/// be valid rows (pre-sanitized).
+/// Embedding gather: out[i, :] = table[indices[i], :]. `out` must be
+/// [|indices| x table.cols]. Indices must be valid rows (pre-sanitized).
 void GatherRowsKernel(const Tensor& table, const std::vector<int>& indices,
                       Tensor* out);
 
@@ -167,84 +160,50 @@ void TransposeKernel(const Tensor& a, Tensor* out);
 /// materializing the slice first.
 void TransposeSliceKernel(const Tensor& a, int col0, int cols, Tensor* out);
 
-/// out[row0..row1, :] = a[row0..row1, acol0:acol0+k] * b, where b is
-/// [k x out.cols]. Exactly the shared MatMulAccum recipe per output element
-/// (zeroed destination, products added in ascending depth order, zero
-/// operands skipped), so restricting the row range or reading `a` through a
-/// column offset cannot perturb bitwise parity. Rows outside [row0, row1)
-/// are untouched; `row1` = -1 means a.rows() (the batched engine passes the
-/// occupied prefix of a capacity-sized buffer). `post_scale`, when not 1,
-/// multiplies the finished rows in a separate epilogue pass —
-/// element-for-element the tape's Scale node applied to the stored matmul
-/// result (a multiply after an add cannot FMA-contract).
-void MatMulSliceKernel(const Tensor& a, int acol0, int k, const Tensor& b,
-                       int row0, Tensor* out, float post_scale = 1.0f,
-                       int row1 = -1);
+/// out[row0.., :] = a[row0.., acol0:acol0+k] * b, where b is [k x out.cols].
+/// Exactly the shared MatMulAccum recipe per output element (zeroed
+/// destination, products added in ascending depth order, zero operands
+/// skipped), so restricting the row range or reading `a` through a column
+/// offset cannot perturb bitwise parity. Rows below row0 are untouched.
+/// `post_scale`, when not 1, multiplies the finished rows in a separate
+/// epilogue pass — element-for-element the tape's Scale node applied to the
+/// stored matmul result (a multiply after an add cannot FMA-contract).
+void MatMulSliceKernel(KernelTier tier, const Tensor& a, int acol0, int k,
+                       const Tensor& b, int row0, Tensor* out,
+                       float post_scale = 1.0f);
 
 /// Attention context fused with the head concat: for rows >= row0,
 /// concat[i, ccol0:ccol0+hd] = att[i, :] * qkv[:, vcol0:vcol0+hd]. Same
 /// per-element accumulation recipe as MatMulAccum followed by the tape's
 /// ConcatCols copy, with neither the per-head context tensor nor the copy
 /// materialized.
-void AttnContextKernel(const Tensor& att, int row0, const Tensor& qkv,
-                       int vcol0, int hd, int ccol0, Tensor* concat);
+void AttnContextKernel(KernelTier tier, const Tensor& att, int row0,
+                       const Tensor& qkv, int vcol0, int hd, int ccol0,
+                       Tensor* concat);
 
 /// In-place masked-attention softmax on rows >= row0: those rows of
 /// `scores` become softmax(scores * scale + mask) with the [L x L] additive
 /// mask applied in-kernel. Scale and mask-add round separately (matching
 /// the tape's Scale and Add nodes) before the max-subtracted exp/sum
 /// normalization, which is byte-for-byte the tape's SoftmaxRows loop.
-void MaskedSoftmaxKernel(Tensor* scores, float scale, const Tensor& mask,
-                         int row0 = 0);
+void MaskedSoftmaxKernel(KernelTier tier, Tensor* scores, float scale,
+                         const Tensor& mask, int row0 = 0);
 
-/// Fused residual + layer norm on rows [row0, row1): out = gain ⊙
-/// norm(x + res) + bias, rows normalized independently (mean/var in double,
-/// matching the tape's LayerNormRows). `gain`/`bias` are [1 x n]; `out`
-/// must be [x.rows x n] and may not alias the inputs. `row1` = -1 means
-/// x.rows().
-void ResidualLayerNormKernel(const Tensor& x, const Tensor& res,
-                             const Tensor& gain, const Tensor& bias, float eps,
-                             Tensor* out, int row0 = 0, int row1 = -1);
+/// Fused residual + layer norm on rows >= row0: out = gain ⊙ norm(x + res)
+/// + bias, rows normalized independently (mean/var in double, matching the
+/// tape's LayerNormRows). `gain`/`bias` are [1 x n]; `out` must be
+/// [x.rows x n] and may not alias the inputs.
+void ResidualLayerNormKernel(KernelTier tier, const Tensor& x,
+                             const Tensor& res, const Tensor& gain,
+                             const Tensor& bias, float eps, Tensor* out,
+                             int row0 = 0);
 
-/// In-place fused bias + ReLU on rows [row0, row1):
-/// x[r, c] = max(0, x[r, c] + bias[0, c]). `row1` = -1 means x->rows().
-void BiasReluKernel(Tensor* x, const Tensor& bias, int row0 = 0,
-                    int row1 = -1);
+/// In-place fused bias + ReLU on rows >= row0:
+/// x[r, c] = max(0, x[r, c] + bias[0, c]).
+void BiasReluKernel(Tensor* x, const Tensor& bias, int row0 = 0);
 
-/// In-place row-broadcast bias add on rows [row0, row1):
-/// x[r, c] += bias[0, c]. `row1` = -1 means x->rows().
-void BiasAddKernel(Tensor* x, const Tensor& bias, int row0 = 0, int row1 = -1);
-
-// ---- Multi-window batched kernels ------------------------------------------
-//
-// The batched engine stacks B windows' rows into one [B*L x ...] buffer so
-// per-block projections run as one wide GEMM instead of B skinny ones.
-// Every batched kernel is a pure row regrouping of the single-window
-// kernels above — each stored float goes through the identical per-element
-// accumulation chain — so batching cannot perturb bitwise parity either.
-
-/// Per-window column-slice transpose: for each window b < num_windows,
-/// out rows [b*cols, (b+1)*cols) = qkv rows [b*L, (b+1)*L) columns
-/// [col0, col0+cols) transposed — B stacked TransposeSliceKernel results.
-/// Pure copy; rows of `out` beyond num_windows*cols are untouched.
-void BatchedTransposeSliceKernel(const Tensor& qkv, int num_windows, int L,
-                                 int col0, int cols, Tensor* out);
-
-/// One attention head over B stacked windows, block-diagonal: for window b
-/// and query row i (>= rows_from[b] when given; global row r = b*L + i),
-/// runs scores = Q K^T (via `kt`, the BatchedTransposeSliceKernel output),
-/// post_scale epilogue, masked softmax, and the context-into-concat matmul
-/// — the exact per-row pipelines of MatMulSliceKernel(post_scale) +
-/// MaskedSoftmaxKernel(scale=1) + AttnContextKernel, window-local, so every
-/// stored value is bitwise the single-window kernels'. `scores` ([>=B*L x
-/// L]) holds the per-window post-softmax attention rows on return;
-/// `rows_from` (size num_windows) restricts each window's query rows, null
-/// = all rows.
-void BatchedAttentionHeadKernel(const Tensor& qkv, int num_windows, int L,
-                                const int* rows_from, int qoff, int hd,
-                                const Tensor& kt, float scale,
-                                const Tensor& mask, int voff, int ccol0,
-                                Tensor* scores, Tensor* concat);
+/// In-place row-broadcast bias add on rows >= row0: x[r, c] += bias[0, c].
+void BiasAddKernel(Tensor* x, const Tensor& bias, int row0 = 0);
 
 // ---- Fused logits -> Eq. 10 score kernel -----------------------------------
 
@@ -273,15 +232,13 @@ RowScore ScoreLogitsRow(const float* logits, int vocab, int key, int top_p);
 
 /// Publishes the process-wide inference-engine accounting into `registry`:
 /// nn/infer/contexts_total + nn/infer/forwards_total +
-/// nn/infer/batches_total + nn/infer/batched_windows_total +
 /// nn/infer/tier_forwards_total{tier=...} (counters),
 /// nn/infer/live_contexts + nn/infer/workspace_live_bytes +
-/// nn/infer/workspace_peak_bytes + nn/infer/batch_occupancy +
+/// nn/infer/workspace_peak_bytes +
 /// nn/infer/kernel_tier (ordinal of the most recent forward's tier) +
-/// nn/infer/simd_isa (ordinal of util::ActiveSimdIsa()) (gauges; the
-/// occupancy is cumulative batched windows / batched slots, in (0, 1] once
-/// any batch ran). Counters are relaxed atomics fed off the hot path
-/// (workspace growth and frame completion only).
+/// nn/infer/simd_isa (ordinal of util::ActiveSimdIsa()) (gauges). Counters
+/// are relaxed atomics fed off the hot path (workspace growth and frame
+/// completion only).
 void PublishInferMetrics(obs::MetricsRegistry* registry);
 
 namespace internal {
@@ -289,9 +246,6 @@ namespace internal {
 void RecordWorkspaceBytes(int64_t delta);
 int64_t WorkspaceLiveBytes();
 uint64_t InferForwardsTotal();
-uint64_t BatchForwardsTotal();
-uint64_t BatchedWindowsTotal();
-uint64_t BatchedSlotsTotal();
 uint64_t TierForwardsTotal(KernelTier tier);
 }  // namespace internal
 

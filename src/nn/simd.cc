@@ -19,8 +19,6 @@ namespace ucad::nn {
 
 namespace {
 
-thread_local KernelTier t_kernel_tier = KernelTier::kReference;
-
 bool UseAvx2() {
 #if UCAD_SIMD_HAVE_AVX2
   return util::ActiveSimdIsa() == util::SimdIsa::kAvx2;
@@ -51,14 +49,6 @@ bool ParseKernelTier(const std::string& name, KernelTier* out) {
   }
   return true;
 }
-
-KernelTier CurrentKernelTier() { return t_kernel_tier; }
-
-ScopedKernelTier::ScopedKernelTier(KernelTier tier) : saved_(t_kernel_tier) {
-  t_kernel_tier = tier;
-}
-
-ScopedKernelTier::~ScopedKernelTier() { t_kernel_tier = saved_; }
 
 // ---- Polynomial exp --------------------------------------------------------
 
@@ -316,27 +306,26 @@ inline void SoftmaxRowAvx2(float* o, const float* m, float scale, int n) {
 }
 
 /// att-weighted sum of V rows into one output row: out[0:hd] =
-/// sum_p arow[p] * vbase(p)[0:hd], 8-wide with a masked ragged tile. The
-/// `row` callback maps p to that depth step's V row (the single-window and
-/// batched layouts differ only in that base).
-template <typename RowFn>
-inline void AttnContextRowAvx2(const float* arow, int k, int hd, RowFn row,
-                               float* out) {
+/// sum_p arow[p] * qkv[p, vcol0:vcol0+hd], 8-wide with a masked ragged
+/// tile.
+inline void AttnContextRowAvx2(const float* arow, int k, int hd,
+                               const Tensor& qkv, int vcol0, float* out) {
   for (int j0 = 0; j0 < hd; j0 += 8) {
     const int jn = std::min(8, hd - j0);
     if (jn == 8) {
       __m256 acc = _mm256_setzero_ps();
       for (int p = 0; p < k; ++p) {
         acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[p]),
-                              _mm256_loadu_ps(row(p) + j0), acc);
+                              _mm256_loadu_ps(qkv.row(p) + vcol0 + j0), acc);
       }
       _mm256_storeu_ps(out + j0, acc);
     } else {
       const __m256i tmask = TailMask(jn);
       __m256 acc = _mm256_setzero_ps();
       for (int p = 0; p < k; ++p) {
-        acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[p]),
-                              _mm256_maskload_ps(row(p) + j0, tmask), acc);
+        acc = _mm256_fmadd_ps(
+            _mm256_set1_ps(arow[p]),
+            _mm256_maskload_ps(qkv.row(p) + vcol0 + j0, tmask), acc);
       }
       _mm256_maskstore_ps(out + j0, tmask, acc);
     }
@@ -344,19 +333,6 @@ inline void AttnContextRowAvx2(const float* arow, int k, int hd, RowFn row,
 }
 
 #endif  // UCAD_SIMD_HAVE_AVX2
-
-inline void SoftmaxRow(bool avx2, float* o, const float* m, float scale,
-                       int n) {
-#if UCAD_SIMD_HAVE_AVX2
-  if (avx2) {
-    SoftmaxRowAvx2(o, m, scale, n);
-    return;
-  }
-#else
-  (void)avx2;
-#endif
-  SoftmaxRowGeneric(o, m, scale, n);
-}
 
 // ---- LayerNorm row bodies --------------------------------------------------
 
@@ -458,7 +434,13 @@ void MaskedSoftmax(Tensor* scores, float scale, const Tensor& mask, int row0) {
   RowParallelFor(row0, scores->rows(), n, [&, avx2](int64_t r0, int64_t r1) {
     for (int64_t ri = r0; ri < r1; ++ri) {
       const int r = static_cast<int>(ri);
-      SoftmaxRow(avx2, scores->row(r), mask.row(r), scale, n);
+#if UCAD_SIMD_HAVE_AVX2
+      if (avx2) {
+        SoftmaxRowAvx2(scores->row(r), mask.row(r), scale, n);
+        continue;
+      }
+#endif
+      SoftmaxRowGeneric(scores->row(r), mask.row(r), scale, n);
     }
   });
 }
@@ -486,34 +468,13 @@ void ResidualLayerNorm(const Tensor& x, const Tensor& res, const Tensor& gain,
   });
 }
 
-void BiasRelu(Tensor* x, const Tensor& bias, int row0, int row1) {
-  const int n = x->cols();
-  const float* vb = bias.row(0);
-  RowParallelFor(row0, row1, n, [&](int64_t r0, int64_t r1) {
-    for (int64_t ri = r0; ri < r1; ++ri) {
-      float* o = x->row(static_cast<int>(ri));
-      for (int c = 0; c < n; ++c) o[c] = std::max(0.0f, o[c] + vb[c]);
-    }
-  });
-}
-
-void BiasAdd(Tensor* x, const Tensor& bias, int row0, int row1) {
-  const int n = x->cols();
-  const float* vb = bias.row(0);
-  RowParallelFor(row0, row1, n, [&](int64_t r0, int64_t r1) {
-    for (int64_t ri = r0; ri < r1; ++ri) {
-      float* o = x->row(static_cast<int>(ri));
-      for (int c = 0; c < n; ++c) o[c] += vb[c];
-    }
-  });
-}
-
 void AttnContext(const Tensor& att, int row0, const Tensor& qkv, int vcol0,
                  int hd, int ccol0, Tensor* concat) {
   const bool avx2 = UseAvx2();
   const int k = att.cols();
-  constexpr int kMaxHd = 64;
-  UCAD_DCHECK(hd <= kMaxHd);
+  // Register tile of the generic body; wider heads (a loaded model may set
+  // any head width up to the header caps) run in tiles of this many columns.
+  constexpr int kTile = 64;
   RowParallelFor(row0, att.rows(), k * hd, [&, avx2](int64_t r0, int64_t r1) {
     for (int64_t ri = r0; ri < r1; ++ri) {
       const int r = static_cast<int>(ri);
@@ -521,102 +482,20 @@ void AttnContext(const Tensor& att, int row0, const Tensor& qkv, int vcol0,
       float* crow = concat->row(r) + ccol0;
 #if UCAD_SIMD_HAVE_AVX2
       if (avx2) {
-        AttnContextRowAvx2(arow, k, hd, [&](int p) { return qkv.row(p) + vcol0; },
-                           crow);
+        AttnContextRowAvx2(arow, k, hd, qkv, vcol0, crow);
         continue;
       }
 #endif
-      float acc[kMaxHd] = {0.0f};
-      for (int p = 0; p < k; ++p) {
-        const float av = arow[p];
-        const float* vrow = qkv.row(p) + vcol0;
-        for (int d = 0; d < hd; ++d) acc[d] += av * vrow[d];
-      }
-      for (int d = 0; d < hd; ++d) crow[d] = acc[d];
-    }
-  });
-}
-
-void BatchedAttnHead(const Tensor& qkv, int num_windows, int L,
-                     const int* rows_from, int qoff, int hd, const Tensor& kt,
-                     float scale, const Tensor& mask, int voff, int ccol0,
-                     Tensor* scores, Tensor* concat) {
-  const bool avx2 = UseAvx2();
-  const int total = num_windows * L;
-  constexpr int kMaxHd = 64;
-  UCAD_DCHECK(hd <= kMaxHd);
-  RowParallelFor(0, total, L * (2 * hd + 2), [&, avx2](int64_t r0, int64_t r1) {
-    for (int64_t gr = r0; gr < r1; ++gr) {
-      const int r = static_cast<int>(gr);
-      const int b = r / L;
-      const int i = r - b * L;
-      if (rows_from != nullptr && i < rows_from[b]) continue;
-      float* o = scores->row(r);
-      const float* q = qkv.row(r) + qoff;
-      // Scores row: register-tiled dot over the head depth against this
-      // window's kt rows. The kt block for window b starts at row b*hd, so
-      // a column-contiguous view of it behaves exactly like the b matrix of
-      // MatMulSlice restricted to those rows — done inline here because the
-      // row base moves per window.
-      {
-#if UCAD_SIMD_HAVE_AVX2
-        if (avx2) {
-          int j = 0;
-          for (; j + 8 <= L; j += 8) {
-            __m256 acc = _mm256_setzero_ps();
-            for (int p = 0; p < hd; ++p) {
-              acc = _mm256_fmadd_ps(_mm256_set1_ps(q[p]),
-                                    _mm256_loadu_ps(kt.row(b * hd + p) + j),
-                                    acc);
-            }
-            _mm256_storeu_ps(o + j, acc);
-          }
-          const int rem = L - j;
-          if (rem > 0) {
-            const __m256i tmask = TailMask(rem);
-            __m256 acc = _mm256_setzero_ps();
-            for (int p = 0; p < hd; ++p) {
-              acc = _mm256_fmadd_ps(
-                  _mm256_set1_ps(q[p]),
-                  _mm256_maskload_ps(kt.row(b * hd + p) + j, tmask), acc);
-            }
-            _mm256_maskstore_ps(o + j, tmask, acc);
-          }
-        } else {
-#endif
-          constexpr int kTile = 16;
-          int j = 0;
-          for (; j < L; j += kTile) {
-            const int jn = std::min(kTile, L - j);
-            float acc[kTile] = {0.0f};
-            for (int p = 0; p < hd; ++p) {
-              const float av = q[p];
-              const float* __restrict__ brow = kt.row(b * hd + p) + j;
-              for (int jj = 0; jj < jn; ++jj) acc[jj] += av * brow[jj];
-            }
-            for (int jj = 0; jj < jn; ++jj) o[j + jj] = acc[jj];
-          }
-#if UCAD_SIMD_HAVE_AVX2
+      for (int d0 = 0; d0 < hd; d0 += kTile) {
+        const int dn = std::min(kTile, hd - d0);
+        float acc[kTile] = {0.0f};
+        for (int p = 0; p < k; ++p) {
+          const float av = arow[p];
+          const float* vrow = qkv.row(p) + vcol0 + d0;
+          for (int d = 0; d < dn; ++d) acc[d] += av * vrow[d];
         }
-#endif
+        for (int d = 0; d < dn; ++d) crow[d0 + d] = acc[d];
       }
-      SoftmaxRow(avx2, o, mask.row(i), scale, L);
-      const int vbase = b * L;
-      float* crow = concat->row(r) + ccol0;
-#if UCAD_SIMD_HAVE_AVX2
-      if (avx2) {
-        AttnContextRowAvx2(
-            o, L, hd, [&](int p) { return qkv.row(vbase + p) + voff; }, crow);
-        continue;
-      }
-#endif
-      float acc[kMaxHd] = {0.0f};
-      for (int p = 0; p < L; ++p) {
-        const float av = o[p];
-        const float* vrow = qkv.row(vbase + p) + voff;
-        for (int d = 0; d < hd; ++d) acc[d] += av * vrow[d];
-      }
-      for (int d = 0; d < hd; ++d) crow[d] = acc[d];
     }
   });
 }

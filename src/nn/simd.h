@@ -20,10 +20,10 @@ namespace ucad::nn {
 //                softmax sums and LayerNorm moments. Contract: verdict
 //                identity (ranks/flags), not logits identity.
 //
-// The tier is a per-thread ambient (ScopedKernelTier below) set by the
-// detector's forward sites from DetectorOptions::kernel_tier; kernels read
-// it once at entry on the calling thread, so row partitions fanned out
-// through the pool inherit the decision via the captured lambda.
+// The tier is held on the nn::InferenceContext a forward runs on (the
+// detector creates its contexts with DetectorOptions::kernel_tier) and
+// passed to each arithmetic kernel as an argument, so row partitions
+// fanned out through the pool inherit it via the captured lambda.
 enum class KernelTier {
   kReference = 0,
   kVectorized = 1,
@@ -35,28 +35,9 @@ const char* KernelTierName(KernelTier tier);
 /// Parses a KernelTierName; returns false (and leaves *out alone) on junk.
 bool ParseKernelTier(const std::string& name, KernelTier* out);
 
-/// The calling thread's ambient tier (kReference unless a ScopedKernelTier
-/// is live — training and tape paths never see a non-reference tier).
-KernelTier CurrentKernelTier();
-
-/// RAII tier scope for the current thread. Apply at the per-thread forward
-/// site (inside pool lambdas), not at session entry: util::ParallelFor runs
-/// its body on pool threads whose ambient tier would otherwise stay
-/// kReference.
-class ScopedKernelTier {
- public:
-  explicit ScopedKernelTier(KernelTier tier);
-  ~ScopedKernelTier();
-  ScopedKernelTier(const ScopedKernelTier&) = delete;
-  ScopedKernelTier& operator=(const ScopedKernelTier&) = delete;
-
- private:
-  KernelTier saved_;
-};
-
 // ---- Relaxed (vectorized-tier) kernel bodies -------------------------------
 //
-// Called by the infer.cc kernels when the ambient tier is not kReference.
+// Called by the infer.cc kernels when their tier argument is not kReference.
 // Each dispatches internally on util::ActiveSimdIsa(): hand-written
 // AVX2+FMA bodies where the build enables them, otherwise a register-tiled
 // generic body the compiler lowers to the target's vector ISA (NEON on
@@ -80,20 +61,8 @@ void ResidualLayerNorm(const Tensor& x, const Tensor& res, const Tensor& gain,
                        const Tensor& bias, float eps, Tensor* out, int row0,
                        int row1);
 
-void BiasRelu(Tensor* x, const Tensor& bias, int row0, int row1);
-
-void BiasAdd(Tensor* x, const Tensor& bias, int row0, int row1);
-
 void AttnContext(const Tensor& att, int row0, const Tensor& qkv, int vcol0,
                  int hd, int ccol0, Tensor* concat);
-
-/// Relaxed twin of BatchedAttentionHeadKernel's row pipeline (same row
-/// mapping and rows_from semantics; scores/softmax/context per row through
-/// the relaxed bodies above).
-void BatchedAttnHead(const Tensor& qkv, int num_windows, int L,
-                     const int* rows_from, int qoff, int hd, const Tensor& kt,
-                     float scale, const Tensor& mask, int voff, int ccol0,
-                     Tensor* scores, Tensor* concat);
 
 }  // namespace fast
 

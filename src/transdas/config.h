@@ -100,17 +100,10 @@ struct DetectorOptions {
   /// mode reproduces the paper's per-operation "preceding sequence" scoring
   /// exactly.
   bool batched = true;
-  /// When > 1, session scoring packs its window spans up to
-  /// `batch_windows` at a time into multi-window GEMMs
-  /// (ForwardInferenceBatched), and DetectSessions() packs spans across
-  /// sessions. Verdicts match the per-window path — bitwise under
-  /// kReference (docs/INFERENCE.md "Batched scoring"). 0/1 runs one forward
-  /// per window.
-  int batch_windows = 0;
   /// Kernel tier of the inference engine (docs/INFERENCE.md "Kernel
   /// tiers"). kReference (default) keeps the bitwise tape-parity contract;
   /// kVectorized runs the runtime-dispatched relaxed SIMD kernels
-  /// (verdict-identity contract). Composes with batched / batch_windows.
+  /// (verdict-identity contract). Composes with batched.
   nn::KernelTier kernel_tier = nn::KernelTier::kReference;
 };
 

@@ -47,22 +47,16 @@ int Sanitize(int key, int vocab) { return key >= 0 && key < vocab ? key : 0; }
 
 }  // namespace
 
-void TransDasDetector::AppendWindow(const std::vector<int>& keys, int count,
-                                    std::vector<int>* out) const {
+std::vector<int> TransDasDetector::BuildWindow(const std::vector<int>& keys,
+                                               int count) const {
   const int L = model_->config().window;
   const int vocab = model_->config().vocab_size;
   const int take = std::min(L, count);
-  out->insert(out->end(), static_cast<size_t>(L - take), 0);
+  std::vector<int> window(static_cast<size_t>(L - take), 0);
+  window.reserve(static_cast<size_t>(L));
   for (int i = count - take; i < count; ++i) {
-    out->push_back(Sanitize(keys[i], vocab));
+    window.push_back(Sanitize(keys[i], vocab));
   }
-}
-
-std::vector<int> TransDasDetector::BuildWindow(const std::vector<int>& keys,
-                                               int count) const {
-  std::vector<int> window;
-  window.reserve(static_cast<size_t>(model_->config().window));
-  AppendWindow(keys, count, &window);
   return window;
 }
 
@@ -75,7 +69,7 @@ std::unique_ptr<nn::InferenceContext> TransDasDetector::AcquireContext() const {
       return ctx;
     }
   }
-  return std::make_unique<nn::InferenceContext>();
+  return std::make_unique<nn::InferenceContext>(options_.kernel_tier);
 }
 
 void TransDasDetector::ReleaseContext(
@@ -87,10 +81,6 @@ void TransDasDetector::ReleaseContext(
 void TransDasDetector::WithWindowLogits(
     const std::vector<int>& input, int rows_from,
     const std::function<void(const nn::Tensor&)>& fn) const {
-  // The tier scope lives here — the per-thread forward site — rather than
-  // at DetectSession entry: session-level fan-out runs on pool threads
-  // whose ambient tier would otherwise stay kReference.
-  nn::ScopedKernelTier tier_scope(options_.kernel_tier);
   std::unique_ptr<nn::InferenceContext> ctx = AcquireContext();
   obs::FlightStageBoundary(obs::FlightStage::kContextAcquire);
   const nn::Tensor& outputs =
@@ -157,7 +147,6 @@ TransDasDetector::VerdictAttribution TransDasDetector::AttributeOperation(
   VerdictAttribution out;
   out.verdict.position = position;
 
-  nn::ScopedKernelTier tier_scope(options_.kernel_tier);
   std::unique_ptr<nn::InferenceContext> ctx = AcquireContext();
   // One forward re-derives the verdict and, via the armed capture, the
   // final block's attention over the window — same tail-restricted row
@@ -290,8 +279,7 @@ std::vector<SessionVerdict> TransDasDetector::Detect(
   util::Timer timer;
   std::vector<SessionVerdict> verdicts(sessions.size());
   // One span plan in input order: each session contributes its own span
-  // sequence, so chunking may pack clamped tails of neighboring sessions
-  // into one batch.
+  // sequence, and spans of all sessions share one pool fan-out.
   std::vector<Span> spans;
   int scored_sessions = 0;
   for (size_t s = 0; s < sessions.size(); ++s) {
@@ -302,29 +290,14 @@ std::vector<SessionVerdict> TransDasDetector::Detect(
     AppendSpans(sessions[s], &verdicts[s].operations, &spans);
   }
   const double setup_ms = timer.ElapsedMillis();
-  // Spans own disjoint verdict slots, so chunks fan out across the pool
-  // with each lane writing its own slots. Chunk boundaries are a pure
-  // function of the span list, and batching never changes a computed
-  // logits row, so verdicts match the serial per-window walk at any thread
-  // count and any batch_windows.
-  const int chunk = std::max(1, options_.batch_windows);
-  const int64_t num_spans = static_cast<int64_t>(spans.size());
-  util::ParallelFor(
-      0, (num_spans + chunk - 1) / chunk, /*grain=*/1,
-      [this, &spans, chunk, num_spans](int64_t c0, int64_t c1) {
-        for (int64_t c = c0; c < c1; ++c) {
-          const int64_t start = c * chunk;
-          if (chunk == 1) {
-            ScoreSpan(spans[start]);
-            continue;
-          }
-          const int count =
-              static_cast<int>(std::min<int64_t>(chunk, num_spans - start));
-          std::unique_ptr<nn::InferenceContext> ctx = AcquireContext();
-          ScoreSpanBatch(ctx.get(), spans.data() + start, count, chunk);
-          ReleaseContext(std::move(ctx));
-        }
-      });
+  // Spans own disjoint verdict slots, so they fan out across the pool with
+  // each lane writing its own slots; each span's window and forward are a
+  // pure function of the span, so verdicts match the serial per-window
+  // walk at any thread count.
+  util::ParallelFor(0, static_cast<int64_t>(spans.size()), /*grain=*/1,
+                    [this, &spans](int64_t s0, int64_t s1) {
+                      for (int64_t s = s0; s < s1; ++s) ScoreSpan(spans[s]);
+                    });
   const double score_ms = timer.ElapsedMillis() - setup_ms;
   for (SessionVerdict& v : verdicts) {
     for (const OperationVerdict& op : v.operations) {
@@ -360,68 +333,31 @@ void TransDasDetector::AppendSpans(const std::vector<int>* keys,
   }
 }
 
-int TransDasDetector::RowsFrom(const Span& span) const {
-  return span.lo + model_->config().window - 1 - span.w;
-}
-
-void TransDasDetector::ScoreOwnedRows(const nn::Tensor& logits, int row0,
-                                      const Span& span,
-                                      OperationVerdict* worst) const {
-  const int L = model_->config().window;
-  for (int i = RowsFrom(span); i < L; ++i) {
-    OperationVerdict op;
-    op.position = span.w + i + 1 - L;
-    ScoreKey(logits, row0 + i, (*span.keys)[op.position], &op);
-    // Abnormal is monotone in rank, so the worst-ranked verdict is
-    // abnormal exactly when any owned verdict is.
-    if (op.rank > worst->rank) *worst = op;
-    (*span.ops)[op.position - 1] = op;
-  }
-}
-
 void TransDasDetector::ScoreSpan(const Span& span) const {
   obs::FlightBegin(span.lo);
   // Output row i scores session position w + i + 1 - L, so the rows this
-  // span owns are the contiguous tail from RowsFrom(span); clamped tail
-  // windows, short sessions and per-op windows skip the re-derived prefix
-  // entirely in the inference engine. The flight trace summarizes the
-  // window by its worst-ranked operation (the one an investigator drills
-  // into first).
-  OperationVerdict worst;
-  worst.rank = -1;
-  WithWindowLogits(BuildWindow(*span.keys, span.w), RowsFrom(span),
-                   [&](const nn::Tensor& logits) {
-                     ScoreOwnedRows(logits, 0, span, &worst);
-                   });
-  obs::FlightEnd(worst.rank, worst.score, worst.margin, worst.abnormal);
-}
-
-void TransDasDetector::ScoreSpanBatch(nn::InferenceContext* ctx,
-                                      const Span* spans, int count,
-                                      int capacity) const {
+  // span owns are the contiguous tail from rows_from (the row predicting
+  // lo); clamped tail windows, short sessions and per-op windows skip the
+  // re-derived prefix entirely in the inference engine. The flight trace
+  // summarizes the window by its worst-ranked operation (the one an
+  // investigator drills into first).
   const int L = model_->config().window;
-  nn::ScopedKernelTier tier_scope(options_.kernel_tier);
-  obs::FlightBegin(spans[0].lo);
-  std::vector<int> input;
-  input.reserve(static_cast<size_t>(count) * L);
-  std::vector<int> rows_from(count);
-  for (int b = 0; b < count; ++b) {
-    AppendWindow(*spans[b].keys, spans[b].w, &input);
-    rows_from[b] = RowsFrom(spans[b]);
-  }
-  obs::FlightStageBoundary(obs::FlightStage::kContextAcquire);
-  const nn::Tensor& outputs =
-      model_->ForwardInferenceBatched(ctx, input, rows_from, capacity);
-  const nn::Tensor& logits =
-      model_->AllKeyLogitsInferenceBatched(ctx, outputs, rows_from, capacity);
-  obs::FlightStageBoundary(obs::FlightStage::kScore);
-  // One flight trace covers the whole batch, summarized by its worst
-  // verdict; spans write disjoint slots of their sessions' verdict arrays.
+  const int rows_from = span.lo + L - 1 - span.w;
   OperationVerdict worst;
   worst.rank = -1;
-  for (int b = 0; b < count; ++b) {
-    ScoreOwnedRows(logits, b * L, spans[b], &worst);
-  }
+  WithWindowLogits(
+      BuildWindow(*span.keys, span.w), rows_from,
+      [&](const nn::Tensor& logits) {
+        for (int i = rows_from; i < L; ++i) {
+          OperationVerdict op;
+          op.position = span.w + i + 1 - L;
+          ScoreKey(logits, i, (*span.keys)[op.position], &op);
+          // Abnormal is monotone in rank, so the worst-ranked verdict is
+          // abnormal exactly when any owned verdict is.
+          if (op.rank > worst.rank) worst = op;
+          (*span.ops)[op.position - 1] = op;
+        }
+      });
   obs::FlightEnd(worst.rank, worst.score, worst.margin, worst.abnormal);
 }
 

@@ -67,15 +67,12 @@ class TransDasDetector {
   SessionVerdict ShadowDetectSession(const std::vector<int>& keys) const;
 
   /// Scores many sessions as one cross-session stream of window spans: the
-  /// spans of ALL sessions fan out across the pool together and, with
-  /// batch_windows > 1, are packed — in input order — into multi-window
-  /// batches, so partially filled tail windows of short sessions share
-  /// GEMMs with their neighbors. Verdicts are element-identical to calling
-  /// DetectSession on each session (the span plan is a pure function of
-  /// each session's length, and batching never changes a computed row —
-  /// see docs/INFERENCE.md). Per-session metrics are still flushed, with
-  /// the shared setup/score latency amortized evenly over the scored
-  /// sessions.
+  /// spans of ALL sessions fan out across the pool together, one forward
+  /// per span. Verdicts are element-identical to calling DetectSession on
+  /// each session (the span plan is a pure function of each session's
+  /// length — see docs/INFERENCE.md). Per-session metrics are still
+  /// flushed, with the shared setup/score latency amortized evenly over the
+  /// scored sessions.
   std::vector<SessionVerdict> DetectSessions(
       const std::vector<std::vector<int>>& sessions) const;
 
@@ -156,9 +153,8 @@ class TransDasDetector {
 
   /// The single body of DetectSession, ShadowDetectSession and
   /// DetectSessions: plans every session's spans (AppendSpans), then scores
-  /// them in one ParallelFor over chunks of batch_windows spans (one span
-  /// per chunk unless batch_windows > 1). `shadow` only gates the
-  /// end-of-session metrics flush, never the scoring itself.
+  /// them through ScoreSpan in one ParallelFor over spans. `shadow` only
+  /// gates the end-of-session metrics flush, never the scoring itself.
   std::vector<SessionVerdict> Detect(
       std::span<const std::vector<int>* const> sessions, bool shadow) const;
 
@@ -167,30 +163,16 @@ class TransDasDetector {
   /// training alignment; the tail window is clamped inside the session and
   /// re-derives, but does not own, earlier positions); per-op mode owns one
   /// position per window, scored from its preceding keys only (the paper's
-  /// streaming formulation). A pure function of (n, L, batched): neither
-  /// thread count nor batch packing changes which window owns a position.
+  /// streaming formulation). A pure function of (n, L, batched): thread
+  /// count never changes which window owns a position.
   void AppendSpans(const std::vector<int>* keys,
                    std::vector<OperationVerdict>* ops,
                    std::vector<Span>* out) const;
 
-  /// First window row `span` owns: the row that predicts position lo.
-  int RowsFrom(const Span& span) const;
-
-  /// Scores the positions `span` owns from its window's logits (window row
-  /// i at logits row row0 + i) into the span's verdict slots, and keeps the
-  /// worst-ranked verdict in `worst` for the flight trace.
-  void ScoreOwnedRows(const nn::Tensor& logits, int row0, const Span& span,
-                      OperationVerdict* worst) const;
-
-  /// Scores one span through a per-window forward (one flight trace,
-  /// summarized by the span's worst verdict).
+  /// Scores the positions one span owns through one window forward into
+  /// the span's verdict slots (one flight trace, summarized by the span's
+  /// worst verdict).
   void ScoreSpan(const Span& span) const;
-
-  /// Scores `count` spans as one multi-window batch on `ctx` (capacity
-  /// fixes the workspace shapes so partial batches reuse the same slots);
-  /// one flight trace covers the batch, summarized by its worst verdict.
-  void ScoreSpanBatch(nn::InferenceContext* ctx, const Span* spans, int count,
-                      int capacity) const;
 
   /// Fills rank/score/margin/abnormal of `op` from one row of all-key
   /// logits — delegates to nn::ScoreLogitsRow, the single-pass source of
@@ -199,9 +181,7 @@ class TransDasDetector {
                 OperationVerdict* op) const;
 
   /// Right-aligned detection window: the last min(L, count) keys of
-  /// keys[0..count), sanitized, with k0 left-padding, appended to `out`.
-  void AppendWindow(const std::vector<int>& keys, int count,
-                    std::vector<int>* out) const;
+  /// keys[0..count), sanitized, with k0 left-padding.
   std::vector<int> BuildWindow(const std::vector<int>& keys, int count) const;
 
   /// Runs one L-key window through the inference engine on a pooled
@@ -218,9 +198,10 @@ class TransDasDetector {
 
   TransDasModel* model_;
   DetectorOptions options_;
-  /// Free list of inference contexts: scoring lanes lease one per window
-  /// and return it, so workspaces stay warm across windows and sessions
-  /// (zero steady-state allocation). Grows to the peak lane count.
+  /// Free list of inference contexts, all created with
+  /// options_.kernel_tier: scoring lanes lease one per window and return
+  /// it, so workspaces stay warm across windows and sessions (zero
+  /// steady-state allocation). Grows to the peak lane count.
   mutable std::mutex ctx_mutex_;
   mutable std::vector<std::unique_ptr<nn::InferenceContext>> ctx_pool_;
 };

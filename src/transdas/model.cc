@@ -13,25 +13,6 @@ namespace ucad::transdas {
 
 namespace {
 constexpr float kMaskValue = -1e9f;
-
-/// Merges each window's owned final-block rows ([b*L + rows_from[b],
-/// (b+1)*L) in the stacked row space) into maximal contiguous ranges, so
-/// adjacent full windows run their row-wise tails as one kernel call.
-std::vector<std::pair<int, int>> OwnedRowRanges(
-    const std::vector<int>& rows_from, int L) {
-  std::vector<std::pair<int, int>> ranges;
-  ranges.reserve(rows_from.size());
-  for (size_t b = 0; b < rows_from.size(); ++b) {
-    const int start = static_cast<int>(b) * L + rows_from[b];
-    const int end = (static_cast<int>(b) + 1) * L;
-    if (!ranges.empty() && ranges.back().second == start) {
-      ranges.back().second = end;
-    } else {
-      ranges.emplace_back(start, end);
-    }
-  }
-  return ranges;
-}
 }  // namespace
 
 TransDasModel::TransDasModel(const TransDasConfig& config, util::Rng* rng)
@@ -188,10 +169,11 @@ const nn::Tensor& TransDasModel::ForwardInference(
   UCAD_DCHECK(rows_from >= 0 && rows_from < L);
   // One forward pins one weight version: every derived-weight lookup below
   // resolves against this snapshot, so a MarkWeightsUpdated landing between
-  // a batch's pack and flush can never mix projection versions within the
-  // pass — the bump takes effect on the next forward.
+  // two blocks' weight lookups can never mix projection versions within
+  // the pass — the bump takes effect on the next forward.
   const uint64_t wv = weight_version_;
   const int packed_cols = (3 * h + 7) / 8 * 8;
+  const nn::KernelTier tier = ctx->kernel_tier();
 
   nn::Tensor* x = ws.Acquire(L, h);
   nn::GatherRowsKernel(embedding_->table().value(), window, x);
@@ -211,7 +193,7 @@ const nn::Tensor& TransDasModel::ForwardInference(
       on_block_weights_for_test_(static_cast<int>(b), wv);
     }
     nn::Tensor* qkv = ws.Acquire(L, packed_cols);
-    nn::MatMulSliceKernel(*xin, 0, h, packed, 0, qkv);
+    nn::MatMulSliceKernel(tier, *xin, 0, h, packed, 0, qkv);
     // Multi-head attention with masking, one fused softmax per head; each
     // head's context lands directly in its concat column block.
     nn::Tensor* concat = ws.Acquire(L, h);
@@ -224,8 +206,9 @@ const nn::Tensor& TransDasModel::ForwardInference(
       nn::Tensor* scores = ws.Acquire(L, L);
       // Scale folded into the matmul's epilogue pass; the softmax then sees
       // pre-scaled scores (scale = 1 skips its identity pass).
-      nn::MatMulSliceKernel(*qkv, qoff, head_dim, *kt, r0, scores, scale);
-      nn::MaskedSoftmaxKernel(scores, 1.0f, mask_, r0);
+      nn::MatMulSliceKernel(tier, *qkv, qoff, head_dim, *kt, r0, scores,
+                            scale);
+      nn::MaskedSoftmaxKernel(tier, scores, 1.0f, mask_, r0);
       if (b + 1 == blocks_.size() && ctx->attention_capture_row() >= 0) {
         // Attribution hook: hand the armed output row's post-softmax
         // attention weights to the context. A read of already-stored
@@ -234,141 +217,33 @@ const nn::Tensor& TransDasModel::ForwardInference(
         UCAD_DCHECK(cap >= r0 && cap < L);
         ctx->RecordAttentionRow(static_cast<size_t>(hi), scores->row(cap), L);
       }
-      nn::AttnContextKernel(*scores, r0, *qkv, voff, head_dim, qoff, concat);
+      nn::AttnContextKernel(tier, *scores, r0, *qkv, voff, head_dim, qoff,
+                            concat);
     }
     nn::Tensor* mh = ws.Acquire(L, h);
-    nn::MatMulSliceKernel(*concat, 0, h, block.wo.value(), r0, mh);
+    nn::MatMulSliceKernel(tier, *concat, 0, h, block.wo.value(), r0, mh);
     // Dropout is identity outside training; fold the residual into the norm.
     nn::Tensor* ln1 = ws.Acquire(L, h);
-    nn::ResidualLayerNormKernel(*xin, *mh, block.ln_attention->gain().value(),
+    nn::ResidualLayerNormKernel(tier, *xin, *mh,
+                                block.ln_attention->gain().value(),
                                 block.ln_attention->bias().value(), 1e-5f, ln1,
                                 r0);
     xin = ln1;
     obs::FlightStageBoundary(obs::FlightStage::kAttention);
     // Point-wise feed-forward (Eq. 7): bias+relu and bias fused in place.
     nn::Tensor* ff = ws.Acquire(L, h);
-    nn::MatMulSliceKernel(*xin, 0, h, block.w1.value(), r0, ff);
+    nn::MatMulSliceKernel(tier, *xin, 0, h, block.w1.value(), r0, ff);
     nn::BiasReluKernel(ff, block.b1.value(), r0);
     nn::Tensor* ff2 = ws.Acquire(L, h);
-    nn::MatMulSliceKernel(*ff, 0, h, block.w2.value(), r0, ff2);
+    nn::MatMulSliceKernel(tier, *ff, 0, h, block.w2.value(), r0, ff2);
     nn::BiasAddKernel(ff2, block.b2.value(), r0);
     nn::Tensor* ln2 = ws.Acquire(L, h);
-    nn::ResidualLayerNormKernel(*xin, *ff2, block.ln_ffn->gain().value(),
+    nn::ResidualLayerNormKernel(tier, *xin, *ff2, block.ln_ffn->gain().value(),
                                 block.ln_ffn->bias().value(), 1e-5f, ln2, r0);
     xin = ln2;
     obs::FlightStageBoundary(obs::FlightStage::kFfn);
   }
-  ctx->NoteForward(nn::CurrentKernelTier());
-  return *xin;
-}
-
-const nn::Tensor& TransDasModel::ForwardInferenceBatched(
-    nn::InferenceContext* ctx, const std::vector<int>& keys,
-    const std::vector<int>& rows_from, int capacity) {
-  const int L = config_.window;
-  const int h = config_.hidden_dim;
-  const int m = config_.num_heads;
-  const int head_dim = h / m;
-  const int B = static_cast<int>(rows_from.size());
-  UCAD_CHECK_GT(B, 0);
-  UCAD_CHECK_GE(capacity, B);
-  UCAD_CHECK_EQ(static_cast<int>(keys.size()), B * L);
-  // The capture hook is a single-window contract; batched scoring never
-  // arms it (attribution re-derives verdicts through ForwardInference).
-  UCAD_DCHECK(ctx->attention_capture_row() < 0);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(h));
-  const uint64_t wv = weight_version_;
-  const int packed_cols = (3 * h + 7) / 8 * 8;
-  const int total = B * L;
-  const int cap_rows = capacity * L;
-  // The dedicated batch arena: batched frames acquire capacity-sized slots,
-  // which must not evict the single-window arena of a pooled context.
-  nn::Workspace& ws = ctx->batch_workspace();
-  ws.BeginFrame();
-
-  nn::Tensor* x = ws.Acquire(cap_rows, h);
-  nn::GatherRowsKernel(embedding_->table().value(), keys, x);
-  if (position_embedding_ != nullptr) {
-    // Window-local broadcast of the learnable position rows — the same
-    // elementwise adds AddInPlace performs on the single-window path.
-    const nn::Tensor& pe = position_embedding_->value();
-    for (int b = 0; b < B; ++b) {
-      for (int i = 0; i < L; ++i) {
-        float* xr = x->row(b * L + i);
-        const float* pr = pe.row(i);
-        for (int c = 0; c < h; ++c) xr[c] += pr[c];
-      }
-    }
-  }
-  obs::FlightStageBoundary(obs::FlightStage::kEmbed);
-
-  // Row-wise tails of the final block only touch each window's owned rows;
-  // earlier blocks compute every occupied row as one range.
-  const std::vector<std::pair<int, int>> owned = OwnedRowRanges(rows_from, L);
-  const std::vector<std::pair<int, int>> full{{0, total}};
-
-  const nn::Tensor* xin = x;
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    Block& block = blocks_[b];
-    const bool final_block = b + 1 == blocks_.size();
-    const std::vector<std::pair<int, int>>& rs = final_block ? owned : full;
-    const nn::Tensor& packed = PackedQkv(ctx, b, wv, packed_cols);
-    if (on_block_weights_for_test_) {
-      on_block_weights_for_test_(static_cast<int>(b), wv);
-    }
-    // One wide [B*L x h] GEMM per block instead of B skinny ones — the
-    // arithmetic-intensity win the batcher exists for. Keys/values must
-    // cover every row of every window, so no rows_from restriction here.
-    nn::Tensor* qkv = ws.Acquire(cap_rows, packed_cols);
-    nn::MatMulSliceKernel(*xin, 0, h, packed, 0, qkv, 1.0f, total);
-    nn::Tensor* concat = ws.Acquire(cap_rows, h);
-    for (int hi = 0; hi < m; ++hi) {
-      const int qoff = hi * head_dim;
-      const int koff = h + hi * head_dim;
-      const int voff = 2 * h + hi * head_dim;
-      nn::Tensor* kt = ws.Acquire(capacity * head_dim, L);
-      nn::BatchedTransposeSliceKernel(*qkv, B, L, koff, head_dim, kt);
-      nn::Tensor* scores = ws.Acquire(cap_rows, L);
-      nn::BatchedAttentionHeadKernel(
-          *qkv, B, L, final_block ? rows_from.data() : nullptr, qoff, head_dim,
-          *kt, scale, mask_, voff, qoff, scores, concat);
-    }
-    nn::Tensor* mh = ws.Acquire(cap_rows, h);
-    for (const auto& [start, end] : rs) {
-      nn::MatMulSliceKernel(*concat, 0, h, block.wo.value(), start, mh, 1.0f,
-                            end);
-    }
-    nn::Tensor* ln1 = ws.Acquire(cap_rows, h);
-    for (const auto& [start, end] : rs) {
-      nn::ResidualLayerNormKernel(*xin, *mh, block.ln_attention->gain().value(),
-                                  block.ln_attention->bias().value(), 1e-5f,
-                                  ln1, start, end);
-    }
-    xin = ln1;
-    obs::FlightStageBoundary(obs::FlightStage::kAttention);
-    nn::Tensor* ff = ws.Acquire(cap_rows, h);
-    for (const auto& [start, end] : rs) {
-      nn::MatMulSliceKernel(*xin, 0, h, block.w1.value(), start, ff, 1.0f,
-                            end);
-      nn::BiasReluKernel(ff, block.b1.value(), start, end);
-    }
-    nn::Tensor* ff2 = ws.Acquire(cap_rows, h);
-    for (const auto& [start, end] : rs) {
-      nn::MatMulSliceKernel(*ff, 0, h, block.w2.value(), start, ff2, 1.0f,
-                            end);
-      nn::BiasAddKernel(ff2, block.b2.value(), start, end);
-    }
-    nn::Tensor* ln2 = ws.Acquire(cap_rows, h);
-    for (const auto& [start, end] : rs) {
-      nn::ResidualLayerNormKernel(*xin, *ff2, block.ln_ffn->gain().value(),
-                                  block.ln_ffn->bias().value(), 1e-5f, ln2,
-                                  start, end);
-    }
-    xin = ln2;
-    obs::FlightStageBoundary(obs::FlightStage::kFfn);
-  }
-  ctx->NoteForward(nn::CurrentKernelTier());
-  ctx->NoteBatchForward(B, capacity);
+  ctx->NoteForward();
   return *xin;
 }
 
@@ -382,24 +257,8 @@ const nn::Tensor& TransDasModel::AllKeyLogitsInference(
   // context.
   const nn::Tensor& table_t = ctx->TransposedCopy(table, weight_version_);
   nn::Tensor* logits = ctx->workspace().Acquire(outputs.rows(), table_t.cols());
-  nn::MatMulSliceKernel(outputs, 0, outputs.cols(), table_t, rows_from, logits);
-  obs::FlightStageBoundary(obs::FlightStage::kLogits);
-  return *logits;
-}
-
-const nn::Tensor& TransDasModel::AllKeyLogitsInferenceBatched(
-    nn::InferenceContext* ctx, const nn::Tensor& outputs,
-    const std::vector<int>& rows_from, int capacity) {
-  const int L = config_.window;
-  UCAD_DCHECK(outputs.rows() == capacity * L);
-  const nn::Tensor& table = embedding_->table().value();
-  const nn::Tensor& table_t = ctx->TransposedCopy(table, weight_version_);
-  nn::Tensor* logits =
-      ctx->batch_workspace().Acquire(outputs.rows(), table_t.cols());
-  for (const auto& [start, end] : OwnedRowRanges(rows_from, L)) {
-    nn::MatMulSliceKernel(outputs, 0, outputs.cols(), table_t, start, logits,
-                          1.0f, end);
-  }
+  nn::MatMulSliceKernel(ctx->kernel_tier(), outputs, 0, outputs.cols(), table_t,
+                        rows_from, logits);
   obs::FlightStageBoundary(obs::FlightStage::kLogits);
   return *logits;
 }

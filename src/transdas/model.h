@@ -46,9 +46,10 @@ class TransDasModel {
   /// `ctx`'s workspace instead of tape nodes — no graph recording, no
   /// gradient bookkeeping, zero allocations at steady state. The returned
   /// [L x h] tensor lives in the workspace and is valid until the next
-  /// forward on the same context. Bitwise-identical to the tape path on
-  /// every computed row (docs/INFERENCE.md); the tape path remains the
-  /// training/gradcheck reference.
+  /// forward on the same context. Every arithmetic kernel runs under
+  /// `ctx`'s kernel tier: under kReference the result is bitwise-identical
+  /// to the tape path on every computed row (docs/INFERENCE.md); the tape
+  /// path remains the training/gradcheck reference.
   ///
   /// `rows_from` restricts the final block's row-wise tail (attention
   /// query rows, FFN, layer norms) to output rows >= rows_from: every
@@ -61,21 +62,6 @@ class TransDasModel {
                                      const std::vector<int>& window,
                                      int rows_from = 0);
 
-  /// Multi-window batched forward: `keys` holds `rows_from.size()` windows
-  /// of L keys concatenated (windows may come from different sessions —
-  /// rows never mix across windows, attention is block-diagonal), and the
-  /// per-block projections run as single [B*L x ...] GEMMs through the
-  /// context's batch workspace. The returned [capacity*L x h] tensor's row
-  /// b*L + i is bitwise ForwardInference(window b, rows_from[b])'s row i for
-  /// i >= rows_from[b] (rows below each window's cut, and the rows of
-  /// unused slots beyond B, are unspecified). `capacity` (>= B) fixes the
-  /// buffer shapes so partially filled batches reuse the same workspace
-  /// slots. The attention-capture hook is not supported on this path.
-  const nn::Tensor& ForwardInferenceBatched(nn::InferenceContext* ctx,
-                                            const std::vector<int>& keys,
-                                            const std::vector<int>& rows_from,
-                                            int capacity);
-
   /// Tape-free Eq. 10 logits ([L x vocab]) for ForwardInference outputs,
   /// computed for rows >= rows_from (earlier rows unspecified). The
   /// transposed embedding table is cached on the context and invalidated
@@ -83,13 +69,6 @@ class TransDasModel {
   const nn::Tensor& AllKeyLogitsInference(nn::InferenceContext* ctx,
                                           const nn::Tensor& outputs,
                                           int rows_from = 0);
-
-  /// Batched Eq. 10 logits ([capacity*L x vocab]) for
-  /// ForwardInferenceBatched outputs: row b*L + i computed exactly when
-  /// i >= rows_from[b], bitwise equal to the single-window kernel's row.
-  const nn::Tensor& AllKeyLogitsInferenceBatched(
-      nn::InferenceContext* ctx, const nn::Tensor& outputs,
-      const std::vector<int>& rows_from, int capacity);
 
   /// All trainable parameters.
   std::vector<nn::Parameter*> Params();

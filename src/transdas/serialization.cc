@@ -1,6 +1,7 @@
 #include "transdas/serialization.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <vector>
 
@@ -13,6 +14,49 @@ namespace {
 
 constexpr uint32_t kMagic = 0x55434144;  // "UCAD"
 constexpr uint32_t kVersion = 1;
+
+// Header caps, checked before any model allocation: a forged header must
+// not make the TransDasModel constructor allocate an L x L mask or a
+// vocab x hidden table it cannot fill. Each sits well above the paper's
+// largest setting (Scenario-II: L = 100, h = 64, 6 blocks).
+constexpr int32_t kMaxVocab = 1 << 24;  // ReadVocabulary's own cap
+constexpr int32_t kMaxWindow = 1024;
+constexpr int32_t kMaxHiddenDim = 1024;
+constexpr int32_t kMaxHeads = 64;
+constexpr int32_t kMaxBlocks = 64;
+// Parameter payload cap for streams that cannot report their length; a
+// seekable stream is held to the bytes it actually has left.
+constexpr int64_t kMaxParameterBytes = int64_t{1} << 30;
+
+/// Bytes of float payload the parameters of `config` occupy, in 64-bit
+/// (per-tensor shape headers excluded, so this is a lower bound on the
+/// stream's parameter section). Mirrors TransDasModel::Params(): the
+/// embedding table, the optional position table, and per block 3 x m
+/// [h x h/m] head projections, wo, w1, w2 ([h x h]) plus two layer norms
+/// (gain + bias) and two biases ([1 x h]).
+int64_t ParameterPayloadBytes(const TransDasConfig& config) {
+  const int64_t h = config.hidden_dim;
+  int64_t floats = static_cast<int64_t>(config.vocab_size) * h;
+  if (config.use_position_embedding) floats += config.window * h;
+  floats += config.num_blocks * (6 * h * h + 6 * h);
+  return floats * static_cast<int64_t>(sizeof(float));
+}
+
+/// Bytes between the read position and the end of a seekable stream, or -1
+/// when the stream cannot seek (the read position is left unchanged).
+int64_t BytesLeft(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (end == std::istream::pos_type(-1) || !is.good()) {
+    is.clear();
+    is.seekg(here);
+    return -1;
+  }
+  return static_cast<int64_t>(end - here);
+}
 
 util::Status WriteVocabulary(const sql::Vocabulary& vocab,
                              std::ostream& os) {
@@ -125,6 +169,18 @@ util::Result<ModelBundle> LoadModel(std::istream& is) {
       config.num_heads < 1 || config.num_blocks < 1 ||
       config.hidden_dim % config.num_heads != 0) {
     return util::Status::InvalidArgument("implausible model config");
+  }
+  if (config.vocab_size > kMaxVocab || config.window > kMaxWindow ||
+      config.hidden_dim > kMaxHiddenDim || config.num_heads > kMaxHeads ||
+      config.num_blocks > kMaxBlocks) {
+    return util::Status::InvalidArgument("model config exceeds size caps");
+  }
+  const int64_t payload = ParameterPayloadBytes(config);
+  const int64_t bytes_left = BytesLeft(is);
+  if (payload > kMaxParameterBytes ||
+      (bytes_left >= 0 && payload > bytes_left)) {
+    return util::Status::InvalidArgument(
+        "model config implies more parameter bytes than the stream holds");
   }
 
   util::Rng rng(1);  // initialization is immediately overwritten

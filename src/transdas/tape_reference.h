@@ -15,7 +15,8 @@ namespace ucad::transdas {
 // and with its own window placement, so it shares no scoring code with the
 // detector beyond the Eq. 10 row scorer. Under KernelTier::kReference the
 // detector's verdicts — rank, score and margin — are bitwise-equal to these
-// at any thread count and any batch_windows. Not used by the detector.
+// at any thread count, for DetectSession and DetectSessions alike. Not used
+// by the detector.
 
 /// Scores a full session the way DetectSession does with the given `top_p`
 /// and `batched` mode: batched windows advance by L from position 1 (the

@@ -1,10 +1,11 @@
 // Locks down the kernel-tier contract (docs/INFERENCE.md "Kernel tiers"):
 // the vectorized tier (runtime-dispatched SIMD kernels with relaxed
 // rounding) must be VERDICT-identical to the reference tier across configs,
-// thread counts, and scoring modes (per-window, batched, streaming), and
+// thread counts, and scoring modes (batched, per-op, streaming), and
 // its per-kernel outputs must stay within tight error bounds of the scalar
 // reference. Also: the dispatcher's forced-scalar override, tier plumbing
-// defaults, and the nn/infer tier metrics.
+// defaults, and the nn/infer tier metrics — including that a detector's
+// tier reaches every forward its pool workers run.
 
 #include <cmath>
 #include <cstdint>
@@ -133,22 +134,6 @@ float MaxAbs(const nn::Tensor& t) {
 
 // ---------- Tier plumbing defaults ----------
 
-TEST(KernelTierTest, DefaultsAndScopedRestore) {
-  EXPECT_EQ(transdas::DetectorOptions{}.kernel_tier,
-            nn::KernelTier::kReference);
-  EXPECT_EQ(nn::CurrentKernelTier(), nn::KernelTier::kReference);
-  {
-    nn::ScopedKernelTier scope(nn::KernelTier::kVectorized);
-    EXPECT_EQ(nn::CurrentKernelTier(), nn::KernelTier::kVectorized);
-    {
-      nn::ScopedKernelTier inner(nn::KernelTier::kReference);
-      EXPECT_EQ(nn::CurrentKernelTier(), nn::KernelTier::kReference);
-    }
-    EXPECT_EQ(nn::CurrentKernelTier(), nn::KernelTier::kVectorized);
-  }
-  EXPECT_EQ(nn::CurrentKernelTier(), nn::KernelTier::kReference);
-}
-
 TEST(KernelTierTest, NamesParseRoundTrip) {
   for (nn::KernelTier tier :
        {nn::KernelTier::kReference, nn::KernelTier::kVectorized}) {
@@ -213,7 +198,8 @@ TEST(FastKernelBoundsTest, MatMulSliceWithinTolerance) {
     const nn::Tensor a = RandomTensor(rows, k, &rng);
     const nn::Tensor b = RandomTensor(k, cols, &rng);
     nn::Tensor ref(rows, cols);
-    nn::MatMulSliceKernel(a, 0, k, b, 0, &ref, 0.5f);
+    nn::MatMulSliceKernel(nn::KernelTier::kReference, a, 0, k, b, 0, &ref,
+                          0.5f);
     nn::Tensor got(rows, cols);
     nn::fast::MatMulSlice(a, 0, k, b, 0, rows, 0.5f, &got);
     // Relaxed accumulation order + FMA: error grows with depth, bounded by
@@ -236,7 +222,7 @@ TEST(FastKernelBoundsTest, MaskedSoftmaxWithinTolerance) {
   for (int i = 0; i + 1 < L; ++i) mask.at(i, i + 1) = -1e9f;
   nn::Tensor ref = RandomTensor(L, L, &rng, 4.0f);
   nn::Tensor got = ref;
-  nn::MaskedSoftmaxKernel(&ref, 0.25f, mask);
+  nn::MaskedSoftmaxKernel(nn::KernelTier::kReference, &ref, 0.25f, mask);
   nn::fast::MaskedSoftmax(&got, 0.25f, mask, 0);
   for (int i = 0; i < L; ++i) {
     float sum = 0.0f;
@@ -262,7 +248,8 @@ TEST(FastKernelBoundsTest, ResidualLayerNormBiasAndContextWithinTolerance) {
   const nn::Tensor gain = RandomTensor(1, h, &rng, 0.5f);
   const nn::Tensor bias = RandomTensor(1, h, &rng, 0.5f);
   nn::Tensor ref(L, h);
-  nn::ResidualLayerNormKernel(x, res, gain, bias, 1e-5f, &ref);
+  nn::ResidualLayerNormKernel(nn::KernelTier::kReference, x, res, gain, bias,
+                              1e-5f, &ref);
   nn::Tensor got(L, h);
   nn::fast::ResidualLayerNorm(x, res, gain, bias, 1e-5f, &got, 0, L);
   for (int i = 0; i < L; ++i) {
@@ -271,28 +258,32 @@ TEST(FastKernelBoundsTest, ResidualLayerNormBiasAndContextWithinTolerance) {
     }
   }
 
-  nn::Tensor br_ref = RandomTensor(L, h, &rng);
-  nn::Tensor br_got = br_ref;
-  nn::BiasReluKernel(&br_ref, bias);
-  nn::fast::BiasRelu(&br_got, bias, 0, L);
-  for (int i = 0; i < L; ++i) {
-    for (int j = 0; j < h; ++j) {
-      // Same adds in the same order: bitwise, vectorized or not.
-      ASSERT_EQ(br_got.at(i, j), br_ref.at(i, j));
-    }
-  }
+  // BiasReluKernel and BiasAddKernel have no relaxed body: both tiers run
+  // the reference loop, which infer_test's tape-parity suites hold bitwise.
 
-  const int hd = 5;
+  // Head widths: the Scenario-I width, and one wider than the generic
+  // body's 64-column register tile (a loaded model may set it), each on
+  // the native and the forced-scalar dispatch.
+  IsaOverrideGuard isa_guard;
   nn::Tensor att = RandomTensor(L, L, &rng);
-  nn::MaskedSoftmaxKernel(&att, 1.0f, nn::Tensor(L, L));
-  const nn::Tensor qkv = RandomTensor(L, 32, &rng);
-  nn::Tensor ctx_ref(L, h);
-  nn::AttnContextKernel(att, 0, qkv, 20, hd, 0, &ctx_ref);
-  nn::Tensor ctx_got(L, h);
-  nn::fast::AttnContext(att, 0, qkv, 20, hd, 0, &ctx_got);
-  for (int i = 0; i < L; ++i) {
-    for (int j = 0; j < hd; ++j) {
-      ASSERT_NEAR(ctx_got.at(i, j), ctx_ref.at(i, j), 1e-5f);
+  nn::MaskedSoftmaxKernel(nn::KernelTier::kReference, &att, 1.0f,
+                          nn::Tensor(L, L));
+  for (const int hd : {5, 80}) {
+    const nn::Tensor qkv = RandomTensor(L, 20 + hd, &rng);
+    nn::Tensor ctx_ref(L, hd);
+    nn::AttnContextKernel(nn::KernelTier::kReference, att, 0, qkv, 20, hd, 0,
+                          &ctx_ref);
+    for (const bool scalar : {false, true}) {
+      if (scalar) util::SetSimdIsaOverride(util::SimdIsa::kScalar);
+      nn::Tensor ctx_got(L, hd);
+      nn::fast::AttnContext(att, 0, qkv, 20, hd, 0, &ctx_got);
+      util::ClearSimdIsaOverride();
+      for (int i = 0; i < L; ++i) {
+        for (int j = 0; j < hd; ++j) {
+          ASSERT_NEAR(ctx_got.at(i, j), ctx_ref.at(i, j), 1e-5f)
+              << "hd " << hd << " scalar " << scalar;
+        }
+      }
     }
   }
 }
@@ -307,14 +298,14 @@ void ExpectVerdictIdentityAcrossTiers(nn::KernelTier tier) {
     transdas::DetectorOptions ref_opts;
     transdas::DetectorOptions fast_opts;
     fast_opts.kernel_tier = tier;
-    transdas::DetectorOptions ref_batch = ref_opts;
-    ref_batch.batch_windows = 4;
-    transdas::DetectorOptions fast_batch = fast_opts;
-    fast_batch.batch_windows = 4;
+    transdas::DetectorOptions ref_per_op = ref_opts;
+    ref_per_op.batched = false;
+    transdas::DetectorOptions fast_per_op = fast_opts;
+    fast_per_op.batched = false;
     const transdas::TransDasDetector reference(&model, ref_opts);
     const transdas::TransDasDetector vectorized(&model, fast_opts);
-    const transdas::TransDasDetector ref_batched(&model, ref_batch);
-    const transdas::TransDasDetector fast_batched(&model, fast_batch);
+    const transdas::TransDasDetector ref_per_op_engine(&model, ref_per_op);
+    const transdas::TransDasDetector fast_per_op_engine(&model, fast_per_op);
     for (int trial = 0; trial < 3; ++trial) {
       const std::vector<int> keys =
           RandomSession(config, 3 * config.window + trial, &rng);
@@ -322,8 +313,8 @@ void ExpectVerdictIdentityAcrossTiers(nn::KernelTier tier) {
         util::SetNumThreads(threads);
         const transdas::SessionVerdict expected = reference.DetectSession(keys);
         ExpectVerdictEqual(expected, vectorized.DetectSession(keys));
-        ExpectVerdictEqual(ref_batched.DetectSession(keys),
-                           fast_batched.DetectSession(keys));
+        ExpectVerdictEqual(ref_per_op_engine.DetectSession(keys),
+                           fast_per_op_engine.DetectSession(keys));
       }
       util::SetNumThreads(1);
     }
@@ -397,6 +388,10 @@ TEST(SimdVerdictIdentityTest, TrainedScenarioVerdictsAcrossAllTiers) {
 // ---------- Metrics ----------
 
 TEST(KernelTierMetricsTest, PublishesTierSeries) {
+  ThreadGuard guard;
+  EXPECT_EQ(transdas::DetectorOptions{}.kernel_tier,
+            nn::KernelTier::kReference);
+  EXPECT_EQ(nn::InferenceContext().kernel_tier(), nn::KernelTier::kReference);
   transdas::TransDasConfig config;
   config.vocab_size = 16;
   config.window = 6;
@@ -414,6 +409,30 @@ TEST(KernelTierMetricsTest, PublishesTierSeries) {
   const std::vector<int> keys = RandomSession(config, 2 * config.window, &wrng);
   reference.DetectSession(keys);
   vectorized.DetectSession(keys);
+
+  // The pool-worker case: at 4 lanes DetectSessions runs its span forwards
+  // on pool threads, and every one of them must count under the
+  // vectorized tier the detector's contexts carry.
+  util::SetNumThreads(4);
+  std::vector<std::vector<int>> sessions;
+  const int L = config.window;
+  for (int n : {1, 2, L, 3 * L + 2, 4 * L}) {
+    sessions.push_back(RandomSession(config, n, &wrng));
+  }
+  const uint64_t forwards0 = nn::internal::InferForwardsTotal();
+  const uint64_t vec0 =
+      nn::internal::TierForwardsTotal(nn::KernelTier::kVectorized);
+  const uint64_t ref0 =
+      nn::internal::TierForwardsTotal(nn::KernelTier::kReference);
+  vectorized.DetectSessions(sessions);
+  const uint64_t forwards = nn::internal::InferForwardsTotal() - forwards0;
+  EXPECT_GT(forwards, 0u);
+  EXPECT_EQ(nn::internal::TierForwardsTotal(nn::KernelTier::kVectorized) -
+                vec0,
+            forwards);
+  EXPECT_EQ(nn::internal::TierForwardsTotal(nn::KernelTier::kReference),
+            ref0);
+  util::SetNumThreads(1);
 
   obs::MetricsRegistry registry;
   nn::PublishInferMetrics(&registry);

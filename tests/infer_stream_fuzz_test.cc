@@ -1,10 +1,10 @@
-// Fuzz-style randomized session-stream harness for streaming and batched
-// scoring: many sessions with random lengths, resets, unknown keys, and
-// out-of-order arrival are interleaved through a SHARED detector (whose
-// context pool hands each call a workspace warmed by other sessions), and
-// every session's verdict sequence must match a clean serial replay on a
-// separate reference detector. The concurrent variants run under TSan in
-// CI (UCAD_SANITIZE=thread, UCAD_THREADS=4).
+// Fuzz-style randomized session-stream harness for streaming and
+// cross-session scoring: many sessions with random lengths, resets, unknown
+// keys, and out-of-order arrival are interleaved through a SHARED detector
+// (whose context pool hands each call a workspace warmed by other
+// sessions), and every session's verdict sequence must match a clean
+// serial replay on a separate reference detector. The concurrent variants
+// run under TSan in CI (UCAD_SANITIZE=thread, UCAD_THREADS=4).
 
 #include <atomic>
 #include <cstdint>
@@ -125,16 +125,15 @@ TEST_P(StreamFuzzTest, ShuffledSessionBatchesMatchPerSessionVerdicts) {
   util::Rng rng(GetParam() + 1000);
   const transdas::TransDasConfig config = FuzzConfig();
   transdas::TransDasModel model(config, &rng);
-  transdas::DetectorOptions opts;
-  opts.batch_windows = 4;
-  const transdas::TransDasDetector batcher(&model, opts);
+  const transdas::TransDasDetector detector(&model,
+                                            transdas::DetectorOptions{});
   const transdas::TransDasDetector reference(&model,
                                              transdas::DetectorOptions{});
   std::vector<Stream> streams =
       RandomStreams(14, config.vocab_size, 30, &rng);
   // Present the sessions in a random order (out-of-order arrival into the
-  // cross-session batcher): verdicts must be independent of both ordering
-  // and how the spans land in batches.
+  // cross-session fan-out): verdicts must be independent of the ordering
+  // and of which sessions' spans share the pool sweep.
   std::vector<size_t> order(streams.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   for (size_t i = order.size(); i > 1; --i) {
@@ -144,7 +143,7 @@ TEST_P(StreamFuzzTest, ShuffledSessionBatchesMatchPerSessionVerdicts) {
   sessions.reserve(order.size());
   for (size_t idx : order) sessions.push_back(streams[idx].keys);
   const std::vector<transdas::SessionVerdict> verdicts =
-      batcher.DetectSessions(sessions);
+      detector.DetectSessions(sessions);
   ASSERT_EQ(verdicts.size(), sessions.size());
   for (size_t i = 0; i < sessions.size(); ++i) {
     const transdas::SessionVerdict expected =
@@ -165,17 +164,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StreamFuzzTest,
 TEST(StreamFuzzConcurrencyTest, ConcurrentStreamsAndBatchesStayExact) {
   // TSan target: four external threads stream disjoint session sets through
   // ONE shared detector (pooled contexts migrate between sessions) while a
-  // fifth hammers the cross-session batcher,
-  // all above an active internal pool. Afterwards every recorded verdict
+  // fifth hammers cross-session DetectSessions, all above an active
+  // internal pool. Afterwards every recorded verdict
   // must match a clean serial replay — races would show up either as TSan
   // reports or as verdict drift.
   util::SetNumThreads(2);
   util::Rng rng(5);
   const transdas::TransDasConfig config = FuzzConfig();
   transdas::TransDasModel model(config, &rng);
-  transdas::DetectorOptions opts;
-  opts.batch_windows = 3;
-  transdas::TransDasDetector detector(&model, opts);
+  transdas::TransDasDetector detector(&model, transdas::DetectorOptions{});
 
   constexpr int kThreads = 4;
   std::vector<std::vector<Stream>> lanes(kThreads);

@@ -3,8 +3,8 @@
 // forward kernels produce all-key logits BITWISE-identical to the recording
 // autograd tape, while performing zero tensor allocations at steady state.
 // The detector's session loop is held to the tape reference scorer
-// (transdas/tape_reference.h) verdict-for-verdict, bitwise, across every
-// scoring mode, batch size and thread count. Also covers the fused
+// (transdas/tape_reference.h) verdict-for-verdict, bitwise, across both
+// scoring modes and every thread count. Also covers the fused
 // masked-softmax's numerical stability at extreme magnitudes and the
 // unknown-key contract of the shared Eq. 10 scorer.
 
@@ -294,32 +294,28 @@ TEST(TapeReferenceContractTest, SessionLoopMatchesTapeReferenceBitwise) {
       expected.push_back(
           transdas::TapeDetectSession(&model, keys, /*top_p=*/3, batched));
     }
-    for (int batch_windows : {0, 1, 4}) {
-      transdas::DetectorOptions options;
-      options.top_p = 3;
-      options.batched = batched;
-      options.batch_windows = batch_windows;
-      const transdas::TransDasDetector detector(&model, options);
-      for (int threads : {1, 2, 8}) {
-        util::SetNumThreads(threads);
-        SCOPED_TRACE(::testing::Message()
-                     << "batched " << batched << " batch_windows "
-                     << batch_windows << " threads " << threads);
-        const std::vector<transdas::SessionVerdict> all =
-            detector.DetectSessions(sessions);
-        ASSERT_EQ(all.size(), sessions.size());
-        for (size_t i = 0; i < sessions.size(); ++i) {
-          SCOPED_TRACE(::testing::Message() << "session length "
-                                            << sessions[i].size());
-          ExpectVerdictBitwise(expected[i], all[i]);
-          ExpectVerdictBitwise(expected[i],
-                               detector.DetectSession(sessions[i]));
-          ExpectVerdictBitwise(expected[i],
-                               detector.ShadowDetectSession(sessions[i]));
-        }
+    transdas::DetectorOptions options;
+    options.top_p = 3;
+    options.batched = batched;
+    const transdas::TransDasDetector detector(&model, options);
+    for (int threads : {1, 2, 8}) {
+      util::SetNumThreads(threads);
+      SCOPED_TRACE(::testing::Message()
+                   << "batched " << batched << " threads " << threads);
+      const std::vector<transdas::SessionVerdict> all =
+          detector.DetectSessions(sessions);
+      ASSERT_EQ(all.size(), sessions.size());
+      for (size_t i = 0; i < sessions.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "session length "
+                                          << sessions[i].size());
+        ExpectVerdictBitwise(expected[i], all[i]);
+        ExpectVerdictBitwise(expected[i],
+                             detector.DetectSession(sessions[i]));
+        ExpectVerdictBitwise(expected[i],
+                             detector.ShadowDetectSession(sessions[i]));
       }
-      util::SetNumThreads(1);
     }
+    util::SetNumThreads(1);
   }
 }
 
@@ -338,7 +334,7 @@ TEST(MaskedSoftmaxKernelTest, ExtremeMagnitudesStayFinite) {
       mask.at(r, c) = (c == (r + 1) % scores.cols()) ? -1e9f : 0.0f;
     }
   }
-  nn::MaskedSoftmaxKernel(&scores, 1.0f, mask);
+  nn::MaskedSoftmaxKernel(nn::KernelTier::kReference, &scores, 1.0f, mask);
   for (int r = 0; r < scores.rows(); ++r) {
     double sum = 0.0;
     for (int c = 0; c < scores.cols(); ++c) {

@@ -1,7 +1,7 @@
 // Randomized property tests for the evaluation metrics: for arbitrary
 // classifiers and test-set layouts, the derived rates must satisfy the
-// standard identities. Also the accounting invariant of batched inference:
-// the batch-occupancy gauge must stay a valid ratio in (0, 1].
+// standard identities. Also the accounting invariant of session scoring:
+// exactly one inference forward per window span.
 
 #include <cmath>
 #include <cstdint>
@@ -143,12 +143,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MetricsPropertyTest,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99999u,
                                            31337u, 271828u, 314159u));
 
-// ---------- Batched inference accounting invariants ----------
+// ---------- Inference accounting invariants ----------
 
 class InferAccountingPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
-TEST_P(InferAccountingPropertyTest, BatchOccupancyGaugeStaysARatio) {
+TEST_P(InferAccountingPropertyTest, OneForwardPerWindowSpan) {
   util::Rng rng(GetParam() + 17);
   transdas::TransDasConfig config;
   config.vocab_size = 18;
@@ -158,37 +158,30 @@ TEST_P(InferAccountingPropertyTest, BatchOccupancyGaugeStaysARatio) {
   config.num_blocks = 1;
   transdas::TransDasModel model(config, &rng);
   transdas::DetectorOptions opts;
-  opts.batch_windows = 2 + static_cast<int>(rng.UniformU64(4));
+  opts.batched = rng.UniformU64(2) == 0;
   const transdas::TransDasDetector detector(&model, opts);
 
-  const uint64_t windows0 = nn::internal::BatchedWindowsTotal();
-  const uint64_t slots0 = nn::internal::BatchedSlotsTotal();
-  const uint64_t batches0 = nn::internal::BatchForwardsTotal();
   std::vector<std::vector<int>> sessions(6);
+  uint64_t spans = 0;
   for (std::vector<int>& keys : sessions) {
-    keys.resize(2 + rng.UniformU64(25));
+    keys.resize(rng.UniformU64(27));
     for (int& key : keys) {
       key = static_cast<int>(rng.UniformU64(config.vocab_size));
     }
+    // Batched spans own up to L positions each, per-op spans one; sessions
+    // of fewer than two keys own none.
+    const uint64_t scored = keys.size() < 2 ? 0 : keys.size() - 1;
+    const uint64_t stride = opts.batched ? config.window : 1;
+    spans += (scored + stride - 1) / stride;
   }
+  const uint64_t forwards0 = nn::internal::InferForwardsTotal();
   detector.DetectSessions(sessions);
-  const uint64_t windows = nn::internal::BatchedWindowsTotal() - windows0;
-  const uint64_t slots = nn::internal::BatchedSlotsTotal() - slots0;
-  const uint64_t batches = nn::internal::BatchForwardsTotal() - batches0;
-  ASSERT_GT(batches, 0u);
-  // Each batch contributes capacity slots and 1..capacity windows, so the
-  // occupancy ratio is bounded by (0, 1] and the slot count is exactly
-  // batches * batch_windows.
-  EXPECT_EQ(slots, batches * static_cast<uint64_t>(opts.batch_windows));
-  EXPECT_GE(windows, batches);  // at least one window per batch
-  EXPECT_LE(windows, slots);
-  // The published gauge is the cumulative ratio and must stay in (0, 1].
+  EXPECT_EQ(nn::internal::InferForwardsTotal() - forwards0, spans);
+  // The published counter carries the same process-wide total.
   obs::MetricsRegistry registry;
   nn::PublishInferMetrics(&registry);
-  const double occupancy =
-      registry.GetGauge("nn/infer/batch_occupancy")->Value();
-  EXPECT_GT(occupancy, 0.0);
-  EXPECT_LE(occupancy, 1.0);
+  EXPECT_EQ(registry.GetCounter("nn/infer/forwards_total")->Value(),
+            nn::internal::InferForwardsTotal());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InferAccountingPropertyTest,

@@ -1,4 +1,8 @@
+#include <cstdint>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +174,74 @@ TEST_F(SerializationTest, VocabularyMismatchRejectedAtSave) {
   std::stringstream ss;
   EXPECT_EQ(transdas::SaveModel(model_.get(), other, ss).code(),
             util::StatusCode::kInvalidArgument);
+}
+
+/// A model-file header with the given dims and nothing after it: every
+/// forged case below must be rejected from the header alone.
+std::string ForgedHeader(int32_t vocab, int32_t window, int32_t hidden,
+                         int32_t heads, int32_t blocks) {
+  std::stringstream ss;
+  util::WriteU32(ss, 0x55434144);  // magic
+  util::WriteU32(ss, 1);           // version
+  util::WriteI32(ss, vocab);
+  util::WriteI32(ss, window);
+  util::WriteI32(ss, hidden);
+  util::WriteI32(ss, heads);
+  util::WriteI32(ss, blocks);
+  util::WriteF32(ss, 0.1f);
+  util::WriteI32(ss, 0);  // no position embedding
+  util::WriteI32(ss, 2);  // kBidirectionalSkipNext
+  return ss.str();
+}
+
+/// Read-only stream buffer that cannot seek, like a pipe.
+class NoSeekBuf : public std::streambuf {
+ public:
+  explicit NoSeekBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ private:
+  std::string data_;
+};
+
+TEST_F(SerializationTest, ForgedHeaderDimsRejectedBeforeAllocation) {
+  struct Case {
+    const char* what;
+    std::string bytes;
+  };
+  const Case cases[] = {
+      {"window 1<<20", ForgedHeader(5, 1 << 20, 8, 2, 2)},
+      {"vocab 1<<24, hidden 1<<16", ForgedHeader(1 << 24, 6, 1 << 16, 2, 2)},
+      {"vocab above the vocabulary cap", ForgedHeader(1 << 25, 6, 8, 2, 2)},
+      {"heads 128", ForgedHeader(5, 6, 128, 128, 2)},
+      {"blocks 1<<20", ForgedHeader(5, 6, 8, 2, 1 << 20)},
+      // Every dim within its cap, but the implied 64 GiB of weights is far
+      // beyond the bytes the stream holds.
+      {"payload beyond the stream", ForgedHeader(1 << 24, 6, 1024, 2, 2)},
+  };
+  for (const Case& c : cases) {
+    std::stringstream ss(c.bytes);
+    const auto loaded = transdas::LoadModel(ss);
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument)
+        << c.what << ": " << loaded.status().ToString();
+  }
+  // A stream that cannot report its length is held to the absolute
+  // payload cap instead.
+  NoSeekBuf buf(ForgedHeader(1 << 24, 6, 1024, 2, 2));
+  std::istream pipe(&buf);
+  EXPECT_EQ(transdas::LoadModel(pipe).status().code(),
+            util::StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializationTest, NonSeekableStreamLoads) {
+  std::stringstream ss;
+  ASSERT_TRUE(transdas::SaveModel(model_.get(), vocab_, ss).ok());
+  NoSeekBuf buf(ss.str());
+  std::istream pipe(&buf);
+  util::Result<transdas::ModelBundle> loaded = transdas::LoadModel(pipe);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->model->config().window, config_.window);
 }
 
 }  // namespace
